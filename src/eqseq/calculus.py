@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .syntax import (
     And,
@@ -117,8 +118,6 @@ class RuleId(str, Enum):
 
 RULE_BY_NAME = {r.value: r for r in RuleId}
 
-LEAF_RULES = frozenset({RuleId.INIT, RuleId.LBOT, RuleId.MINBOT, RuleId.REFAX})
-
 G3C_LOGICAL = frozenset(
     {
         RuleId.LAND,
@@ -151,8 +150,6 @@ G3IM_LOGICAL = frozenset(
 
 LOGICAL_RULES = G3C_LOGICAL | G3IM_LOGICAL
 
-STRUCTURAL_RULES = frozenset({RuleId.LW, RuleId.RW, RuleId.LC, RuleId.RC, RuleId.LCEQ, RuleId.CUT})
-
 # (index, premiss keeps the operating equality)
 RIGHT_REPLACEMENT: dict[RuleId, tuple[int, bool]] = {
     RuleId.REP1R: (1, True),
@@ -172,9 +169,6 @@ LEFT_REPLACEMENT: dict[RuleId, tuple[int, str]] = {
     RuleId.REP1LP: (1, "plus"),
     RuleId.REP2LP: (2, "plus"),
 }
-
-REPLACEMENT_RULES = frozenset(RIGHT_REPLACEMENT) | frozenset(LEFT_REPLACEMENT) | {RuleId.CNG}
-EQUALITY_RULES = REPLACEMENT_RULES | {RuleId.REFAX, RuleId.REFL, RuleId.SYMM}
 
 
 class Flag(str, Enum):
@@ -251,14 +245,17 @@ class CalculusSpec:
             return self.rules | G3IM_LOGICAL
         return self.rules
 
+    @cached_property
+    def _allowed(self) -> frozenset[RuleId]:
+        leaves = {RuleId.INIT}
+        if self.base in ("i", "c"):
+            leaves.add(RuleId.LBOT)
+        if self.base == "m":
+            leaves.add(RuleId.MINBOT)
+        return (self.effective_rules() - {RuleId.LBOT, RuleId.MINBOT}) | leaves
+
     def allows(self, rule: RuleId) -> bool:
-        if rule is RuleId.INIT:
-            return True
-        if rule is RuleId.LBOT:
-            return self.base in ("i", "c")
-        if rule is RuleId.MINBOT:
-            return self.base == "m"
-        return rule in self.effective_rules()
+        return rule in self._allowed
 
     def with_rules(self, *extra: RuleId, without: tuple[RuleId, ...] = ()) -> "CalculusSpec":
         return CalculusSpec(
@@ -715,34 +712,151 @@ def _subsets(n: int):
         yield from itertools.combinations(range(n), r)
 
 
-def applicable_instances(goal: Sequent, spec: CalculusSpec, universe) -> list[RuleInstance]:
-    """Every rule instance of ``spec`` whose conclusion matches ``goal``.
+def _first_occurrence_subsets(fs: tuple[Formula, ...], exclude: int | None = None):
+    """The index subsets of ``fs`` (``exclude`` left out) that take the earliest
+    occurrences of each repeated formula, in ``_subsets`` order.
+
+    Two context splits give multiset-equal premisses exactly when they pick
+    the same multiset of formulas; the subset kept here is the first of its
+    class in ``_subsets`` order, so dropping the others keeps the move order.
+    """
+    prev: dict[int, int] = {}
+    last: dict[Formula, int] = {}
+    for k, f in enumerate(fs):
+        if k == exclude:
+            continue
+        if f in last:
+            prev[k] = last[f]
+        last[f] = k
+    return [
+        sub
+        for sub in _subsets(len(fs))
+        if exclude not in sub and all(prev.get(k, k) in sub for k in sub)
+    ]
+
+
+def _split_parts(fs: tuple[Formula, ...], splits) -> list[tuple]:
+    """``(split, chosen, chosen keys, rest, rest keys)`` for each index split
+    of ``fs``; the rest keeps its order."""
+    out = []
+    for sub in splits:
+        chosen = tuple(fs[k] for k in sub)
+        rest = tuple(f for k, f in enumerate(fs) if k not in sub)
+        out.append((sub, chosen, tuple(map(repr, chosen)), rest, tuple(map(repr, rest))))
+    return out
+
+
+class MovePool:
+    """What the moves of one search share, so that each is built once: one
+    sequent object per ordered list of formulas, keyed by their ``repr``, a
+    number per multiset pair, and the rewrites of each context formula."""
+
+    def __init__(self) -> None:
+        self._sequents: dict[tuple, Sequent] = {}
+        self._rewrites: dict[tuple, list] = {}
+        self._multisets: dict[tuple, int] = {}
+        self._multiset_of: dict[int, int] = {}
+
+    def sequent(self, ante, ante_keys, succ, succ_keys) -> Sequent:
+        """The sequent ``ante |- succ``; the keys are the formulas' ``repr``."""
+        key = (ante_keys, succ_keys)
+        seq = self._sequents.get(key)
+        if seq is None:
+            seq = self._sequents[key] = Sequent(ante, succ)
+            multiset = (tuple(sorted(ante_keys)), tuple(sorted(succ_keys)))
+            self._multiset_of[id(seq)] = self._multisets.setdefault(multiset, len(self._multisets))
+        return seq
+
+    def multiset(self, seq: Sequent) -> int:
+        """A number shared by exactly the pooled sequents equal to ``seq``."""
+        return self._multiset_of[id(seq)]
+
+    def share(self, seq: Sequent) -> Sequent:
+        """The pooled sequent with the formulas of ``seq``, in their order."""
+        return self.sequent(seq.ante, tuple(map(repr, seq.ante)), seq.succ, tuple(map(repr, seq.succ)))
+
+    def rewrites(self, ctx: Formula, frm: Term, to: Term) -> list[tuple]:
+        """``(paths, rewritten ctx, its key)`` for every nonempty set of
+        nonoverlapping occurrences of ``frm`` in ``ctx``, replaced by ``to``."""
+        key = (repr(ctx), repr(frm), repr(to))
+        out = self._rewrites.get(key)
+        if out is None:
+            out = self._rewrites[key] = []
+            for paths in _nonempty_nonoverlapping_subsets(occurrences(ctx, frm)):
+                new = replace_at(ctx, set(paths), frm, to)
+                out.append((paths, new, repr(new)))
+        return out
+
+
+def _collector(goal: Sequent, spec: CalculusSpec, out: list, pool: MovePool | None = None):
+    """``add(inst)`` appends ``(inst, premisses)`` when ``premisses_of`` accepts."""
+
+    def add(inst: RuleInstance) -> None:
+        try:
+            premisses = premisses_of(goal, inst, spec)
+        except CalculusError:
+            return
+        out.append((inst, premisses if pool is None else [pool.share(p) for p in premisses]))
+
+    return add
+
+
+def leaf_expansions(goal: Sequent, spec: CalculusSpec) -> list[tuple[RuleInstance, list[Sequent]]]:
+    """The zero-premiss prefix of :func:`expansions`: initial sequents and axioms."""
+    out: list[tuple[RuleInstance, list[Sequent]]] = []
+    add = _collector(goal, spec, out)
+    ante, succ = goal.ante, goal.succ
+    minbot = spec.allows(RuleId.MINBOT)
+    for i, f in enumerate(ante):
+        for j, g in enumerate(succ):
+            if f == g:
+                add(leaf(RuleId.INIT, i, j))
+            if minbot and isinstance(f, Bottom) and isinstance(g, Bottom):
+                add(leaf(RuleId.MINBOT, i, j))
+    if spec.allows(RuleId.REFAX):
+        for j, g in enumerate(succ):
+            if is_identity(g):
+                add(leaf(RuleId.REFAX, j))
+    if spec.allows(RuleId.LBOT):
+        for i, f in enumerate(ante):
+            if isinstance(f, Bottom):
+                add(leaf(RuleId.LBOT, i))
+    return out
+
+
+def _passes(check, *args) -> bool:
+    try:
+        check(*args)
+    except CalculusError:
+        return False
+    return True
+
+
+def expansions(
+    goal: Sequent, spec: CalculusSpec, universe, pool: MovePool | None = None
+) -> list[tuple[RuleInstance, list[Sequent]]]:
+    """Every rule instance of ``spec`` whose conclusion matches ``goal``, each
+    with its premisses: the move generator of backward search and of
+    :func:`eqseq.search.exact_decide`.
 
     Replacement/witness terms and cut formulas are drawn from ``universe``
     (plus the predicates already present in the goal); eigenparameters are
     generated fresh.  The result is deterministic and complete relative to
-    that bound; every returned instance satisfies ``premisses_of``.
+    that bound, except that CNG/CUT context splits whose premisses are
+    multiset-equal collapse to the first of them.  Zero-premiss instances
+    come first (:func:`leaf_expansions`).
+
+    The premisses are those ``premisses_of`` computes.  It computes them for
+    the leaf, logical, structural and reflexivity rules; the replacement,
+    CNG and CUT instances, which are most of the moves, are built directly
+    here, with the kernel's own flag and orientation checks.  Premisses are
+    shared through ``pool``, across calls when one is given.
     """
+    pool = MovePool() if pool is None else pool
     terms = _sorted_universe(universe)
-    out: list[RuleInstance] = []
-
-    def try_add(inst: RuleInstance) -> None:
-        try:
-            premisses_of(goal, inst, spec)
-        except CalculusError:
-            return
-        out.append(inst)
-
+    out = leaf_expansions(goal, spec)
+    add = _collector(goal, spec, out, pool)
     ante, succ = goal.ante, goal.succ
-
-    for i in range(len(ante)):
-        for j in range(len(succ)):
-            try_add(leaf(RuleId.INIT, i, j))
-            try_add(leaf(RuleId.MINBOT, i, j))
-    for j in range(len(succ)):
-        try_add(leaf(RuleId.REFAX, j))
-    for i in range(len(ante)):
-        try_add(leaf(RuleId.LBOT, i))
 
     one_sided_ante = [
         RuleId.LAND,
@@ -758,87 +872,127 @@ def applicable_instances(goal: Sequent, spec: CalculusSpec, universe) -> list[Ru
     for rule in one_sided_ante:
         if spec.allows(rule):
             for i in range(len(ante)):
-                try_add(RuleInstance(rule, (i,)))
+                add(RuleInstance(rule, (i,)))
     for rule in one_sided_succ:
         if spec.allows(rule):
             for j in range(len(succ)):
-                try_add(RuleInstance(rule, (j,)))
+                add(RuleInstance(rule, (j,)))
 
     if spec.allows(RuleId.LFORALL):
         for i in range(len(ante)):
             for t in terms:
-                try_add(RuleInstance(RuleId.LFORALL, (i,), witness=t))
+                add(RuleInstance(RuleId.LFORALL, (i,), witness=t))
     if spec.allows(RuleId.REXISTS):
         for j in range(len(succ)):
             for t in terms:
-                try_add(RuleInstance(RuleId.REXISTS, (j,), witness=t))
+                add(RuleInstance(RuleId.REXISTS, (j,), witness=t))
     eigen = fresh_eigen(goal)
     for rule, n in ((RuleId.RFORALL, len(succ)), (RuleId.RFORALLI, len(succ))):
         if spec.allows(rule):
             for j in range(n):
-                try_add(RuleInstance(rule, (j,), eigen=eigen))
+                add(RuleInstance(rule, (j,), eigen=eigen))
     if spec.allows(RuleId.LEXISTS):
         for i in range(len(ante)):
-            try_add(RuleInstance(RuleId.LEXISTS, (i,), eigen=eigen))
+            add(RuleInstance(RuleId.LEXISTS, (i,), eigen=eigen))
 
     if spec.allows(RuleId.REFL):
         for t in terms:
-            try_add(RuleInstance(RuleId.REFL, witness=t))
+            add(RuleInstance(RuleId.REFL, witness=t))
 
-    # replacement rules
+    ante_keys, succ_keys = tuple(map(repr, ante)), tuple(map(repr, succ))
+
+    # replacement rules: one premiss, the context formula rewritten in place
+    # (or, for retained contexts, the rewritten copy put after it)
     right_rules = [r for r in (RuleId.REP1R, RuleId.REP2R, RuleId.EQ1, RuleId.EQ2) if spec.allows(r)]
     left_rules = [
         r
         for r in (RuleId.REP1L, RuleId.REP2L, RuleId.REP, RuleId.REPP, RuleId.REP1LP, RuleId.REP2LP)
         if spec.allows(r)
     ]
-    if right_rules or left_rules:
-        for e, op in enumerate(ante):
-            if not isinstance(op, Eq):
+    for e, op in enumerate(ante):
+        if not isinstance(op, Eq):
+            continue
+        for rule in right_rules:
+            idx, keeps = RIGHT_REPLACEMENT[rule]
+            if not _passes(_check_orientation, spec, idx, op):
                 continue
-            for rule in right_rules:
-                idx = RIGHT_REPLACEMENT[rule][0]
-                concl_term, _ = _replacement_terms(idx, op)
-                for j, ctx in enumerate(succ):
-                    if not is_atomic(ctx):
-                        continue
-                    occ = occurrences(ctx, concl_term)
-                    for paths in _nonempty_nonoverlapping_subsets(occ):
-                        try_add(repl_inst(rule, e, j, paths))
-            for rule in left_rules:
-                idx = LEFT_REPLACEMENT[rule][0]
-                concl_term, _ = _replacement_terms(idx, op)
-                for i, ctx in enumerate(ante):
-                    if i == e or not is_atomic(ctx):
-                        continue
-                    occ = occurrences(ctx, concl_term)
-                    for paths in _nonempty_nonoverlapping_subsets(occ):
-                        try_add(repl_inst(rule, e, i, paths))
+            if keeps:
+                new_ante, new_ante_keys = ante, ante_keys
+            else:
+                new_ante, new_ante_keys = remove_at(ante, e), remove_at(ante_keys, e)
+            for j, ctx in enumerate(succ):
+                if not is_atomic(ctx):
+                    continue
+                for paths, new, new_key in pool.rewrites(ctx, *_replacement_terms(idx, op)):
+                    if _passes(_check_flags_right, spec, rule, ctx, paths):
+                        premiss = pool.sequent(
+                            new_ante,
+                            new_ante_keys,
+                            replace_formula(succ, j, new),
+                            replace_formula(succ_keys, j, new_key),
+                        )
+                        out.append((repl_inst(rule, e, j, paths), [premiss]))
+        for rule in left_rules:
+            idx, retention = LEFT_REPLACEMENT[rule]
+            if not _passes(_check_orientation, spec, idx, op):
+                continue
+            for i, ctx in enumerate(ante):
+                if i == e or not is_atomic(ctx):
+                    continue
+                keep = retention == "keep" or (retention == "plus" and isinstance(ctx, Eq))
+                at = i + 1 if keep else i
+                for paths, new, new_key in pool.rewrites(ctx, *_replacement_terms(idx, op)):
+                    if _passes(_check_flags_left, spec, ctx, paths):
+                        premiss = pool.sequent(
+                            ante[:at] + (new,) + ante[i + 1 :],
+                            ante_keys[:at] + (new_key,) + ante_keys[i + 1 :],
+                            succ,
+                            succ_keys,
+                        )
+                        out.append((repl_inst(rule, e, i, paths), [premiss]))
 
+    # cng: the chosen context proves r=s, the rest has the context formula
+    # rewritten in its place
     if spec.allows(RuleId.CNG):
+        single = Flag.SINGLE_OCCURRENCE in spec.flags
+        ante_parts = _split_parts(ante, _first_occurrence_subsets(ante))
         for j, ctx in enumerate(succ):
             if not is_atomic(ctx):
                 continue
+            succ_parts = []  # (split, chosen, keys, rest before and after the context, keys)
+            for s1, chosen, chosen_keys, rest, rest_keys in _split_parts(
+                succ, _first_occurrence_subsets(succ, exclude=j)
+            ):
+                at = j - sum(1 for k in s1 if k < j)  # the context's place in the rest
+                succ_parts.append(
+                    (s1, chosen, chosen_keys, rest[:at], rest_keys[:at], rest[at + 1 :], rest_keys[at + 1 :])
+                )
             ctx_terms = sorted(
                 {t for s in _top_subterms(ctx) for t in subterms(s)},
                 key=lambda t: (term_height(t), str(t)),
             )
             for s_term in ctx_terms:
-                occ = occurrences(ctx, s_term)
-                for paths in _nonempty_nonoverlapping_subsets(occ):
-                    for r_term in terms:
-                        for a1 in _subsets(len(ante)):
-                            for s1 in _subsets(len(succ)):
-                                if j in s1:
-                                    continue
-                                try_add(
-                                    RuleInstance(
-                                        RuleId.CNG,
-                                        replacement=Replacement(None, j, paths),
-                                        witness=r_term,
-                                        split=(a1, s1),
-                                    )
-                                )
+                by_witness = [(r, Eq(r, s_term), pool.rewrites(ctx, s_term, r)) for r in terms]
+                for k, paths in enumerate(_nonempty_nonoverlapping_subsets(occurrences(ctx, s_term))):
+                    if single and len(paths) != 1:
+                        continue
+                    rep = Replacement(None, j, paths)
+                    for r_term, eq, rewritten in by_witness:
+                        _, new, new_key = rewritten[k]
+                        eq_key = repr(eq)
+                        sides = [
+                            (s1, s_in + (eq,), s_keys + (eq_key,), pre + (new,) + post, pre_k + (new_key,) + post_k)
+                            for s1, s_in, s_keys, pre, pre_k, post, post_k in succ_parts
+                        ]
+                        for a1, a_in, a_in_keys, a_out, a_out_keys in ante_parts:
+                            for s1, first_succ, first_keys, second_succ, second_keys in sides:
+                                out.append((
+                                    RuleInstance(RuleId.CNG, replacement=rep, witness=r_term, split=(a1, s1)),
+                                    [
+                                        pool.sequent(a_in, a_in_keys, first_succ, first_keys),
+                                        pool.sequent(a_out, a_out_keys, second_succ, second_keys),
+                                    ],
+                                ))
 
     if spec.allows(RuleId.CUT):
         preds = sorted(_goal_predicates(goal))
@@ -846,12 +1000,30 @@ def applicable_instances(goal: Sequent, spec: CalculusSpec, universe) -> list[Ru
         for pred, arity in preds:
             for args in itertools.product(terms, repeat=arity):
                 candidates.append(Atom(pred, tuple(args)))
+        ante_parts = _split_parts(ante, _first_occurrence_subsets(ante))
+        succ_parts = _split_parts(succ, _first_occurrence_subsets(succ))
         for a in candidates:
-            for a1 in _subsets(len(ante)):
-                for s1 in _subsets(len(succ)):
-                    try_add(RuleInstance(RuleId.CUT, cut_formula=a, split=(a1, s1)))
+            a_key = repr(a)
+            for a1, a_in, a_in_keys, a_out, a_out_keys in ante_parts:
+                for s1, s_in, s_in_keys, s_out, s_out_keys in succ_parts:
+                    out.append((
+                        RuleInstance(RuleId.CUT, cut_formula=a, split=(a1, s1)),
+                        [
+                            pool.sequent(a_in, a_in_keys, s_in + (a,), s_in_keys + (a_key,)),
+                            pool.sequent((a,) + a_out, (a_key,) + a_out_keys, s_out, s_out_keys),
+                        ],
+                    ))
 
     return out
+
+
+def applicable_instances(goal: Sequent, spec: CalculusSpec, universe) -> list[RuleInstance]:
+    """The instances of :func:`expansions`, without their premisses.
+
+    Every returned instance satisfies ``premisses_of``; CNG/CUT context splits
+    with multiset-equal premisses are collapsed to their first occurrence.
+    """
+    return [inst for inst, _ in expansions(goal, spec, universe)]
 
 
 def _top_subterms(f: Formula) -> tuple[Term, ...]:

@@ -16,7 +16,6 @@ import sys
 import time
 
 from .calculus import (
-    CalculusError,
     PRESETS,
     Precedence,
     PREC_HEIGHT,
@@ -26,7 +25,7 @@ from .calculus import (
     resolve_spec,
 )
 from .checker import Derivation, check, stats
-from .parser import ParseError, parse_derivation, parse_sequent, parse_term, print_derivation, print_sequent
+from .parser import parse_derivation, parse_sequent, parse_term, print_derivation, print_sequent
 from .search import (
     DecidedUnderivable,
     Exhausted,
@@ -399,10 +398,7 @@ def run(argv: list[str]) -> int:
     try:
         cfg = _load_config(args.config)
         return args.func(args, cfg)
-    except (_UsageError, ParseError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (CalculusError, tf.TransformError, EqSeqError) as exc:
+    except (_UsageError, FileNotFoundError, EqSeqError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -430,13 +430,6 @@ def print_path(p: Path) -> str:
     return ".".join(str(i) for i in p)
 
 
-def parse_path(text: str, span: SourceSpan) -> Path:
-    try:
-        return tuple(int(part) for part in text.split("."))
-    except ValueError:
-        raise ParseError(f"malformed path {text!r}", span) from None
-
-
 # ---------------------------------------------------------------------------
 # Derivation files: (rule [instance-args] "sequent" child*)
 

@@ -15,11 +15,14 @@ from dataclasses import dataclass
 from .calculus import (
     CalculusSpec,
     LEFT_REPLACEMENT,
+    MovePool,
     RIGHT_REPLACEMENT,
     RuleId,
     RuleInstance,
-    applicable_instances,
+    _nonempty_nonoverlapping_subsets,
+    expansions,
     leaf,
+    leaf_expansions,
     premisses_of,
     repl_inst,
 )
@@ -31,18 +34,17 @@ from .syntax import (
     Formula,
     FunApp,
     Param,
-    Path,
     Sequent,
     Term,
     formula_has_function_symbols,
     is_atomic,
     is_identity,
     occurrences,
-    paths_overlap,
     remove_at,
     replace_at,
     replace_formula,
     subterms,
+    term_has_bound,
     term_height,
 )
 
@@ -291,6 +293,21 @@ def prove(
     lim: SearchLimits = SearchLimits(),
     hooks: tuple[ShapeHook, ...] = DEFAULT_HOOKS,
 ) -> SearchOutcome:
+    """:func:`bounded_search`, except that a function-free atomic goal with a
+    countermodel (:func:`refuted_by_countermodel`) comes back
+    ``DecidedUnderivable(COUNTERMODEL)`` without a search, unless a shape
+    hook decides it first."""
+    if refuted_by_countermodel(goal) and not any(h.covers(spec) and h.matches(goal) for h in hooks):
+        return DecidedUnderivable(COUNTERMODEL)
+    return bounded_search(goal, spec, lim, hooks)
+
+
+def bounded_search(
+    goal: Sequent,
+    spec: CalculusSpec,
+    lim: SearchLimits = SearchLimits(),
+    hooks: tuple[ShapeHook, ...] = DEFAULT_HOOKS,
+) -> SearchOutcome:
     """Depth-bounded backward search.
 
     ``Proved`` outcomes carry a derivation that the checker validates;
@@ -304,49 +321,63 @@ def prove(
             return DecidedUnderivable(h.name)
     universe = lim.universe if lim.universe is not None else default_universe(goal, lim.term_height)
     budget = _Budget(lim.node_budget)
-    proved: dict[Sequent, Derivation] = {}
+    # memos by multiset: pooled sequents equal as multisets share a number
+    proved: dict[int, Derivation] = {}
+    # moves of each expanded sequent, shared by all deepening bounds
+    move_table: dict[int, list[tuple[RuleInstance, list[Sequent]]]] = {}
+    pool = MovePool()  # premisses: one object per ordered sequent
+    goal = pool.share(goal)
+    multiset = pool.multiset
     budget_hit = False
     memo_peak = 0
 
-    def search(seq: Sequent, depth: int, failed: dict[Sequent, int]) -> Derivation | None:
+    def search(seq: Sequent, mset: int, depth: int, failed: dict[int, int]) -> Derivation | None:
+        """Expand ``seq``; the caller found no memoized answer for it at ``depth``."""
         nonlocal budget_hit
-        if seq in proved and proved[seq].height <= depth:
-            return proved[seq]
-        if failed.get(seq, -1) >= depth:
-            return None
         if not budget.spend():
             budget_hit = True
             return None
         for h in active_hooks:
             if h.matches(seq):
-                failed[seq] = lim.max_depth
+                failed[mset] = lim.max_depth
                 return None
-        # eigenparameters introduced above the goal become usable witnesses
-        local_universe = universe | sequent_terms(seq)
-        for inst in applicable_instances(seq, spec, local_universe):
-            premisses = premisses_of(seq, inst, spec)
+        # instance indices are positions, so moves belong to the ordered
+        # sequent: one object per ordered sequent, as premisses are pooled
+        moves = move_table.get(id(seq))
+        if moves is None:
+            if depth <= 0:  # only a leaf rule can close it
+                moves = leaf_expansions(seq, spec)
+            else:
+                # eigenparameters introduced above the goal become usable witnesses
+                moves = move_table[id(seq)] = expansions(seq, spec, universe | sequent_terms(seq), pool)
+        for inst, premisses in moves:
             if premisses and depth <= 0:
-                continue
+                break  # the leaf instances come first
             children: list[Derivation] = []
             for p in premisses:
-                sub = search(p, depth - 1, failed)
-                if sub is None:
-                    break
+                p_mset = multiset(p)
+                sub = proved.get(p_mset)
+                if sub is None or sub.height >= depth:  # no proof of height <= depth - 1
+                    if failed.get(p_mset, -1) >= depth - 1:
+                        break
+                    sub = search(p, p_mset, depth - 1, failed)
+                    if sub is None:
+                        break
                 children.append(sub)
             else:
                 d = node(seq, inst, *children)
-                proved[seq] = d
+                proved[mset] = d
                 return d
             if budget_hit:
                 return None
-        if failed.get(seq, -1) < depth:
-            failed[seq] = depth
+        if failed.get(mset, -1) < depth:
+            failed[mset] = depth
         return None
 
     # iterative deepening: the first success is a minimal-height proof
     for bound in range(lim.max_depth + 1):
-        failed: dict[Sequent, int] = {}
-        found = search(goal, bound, failed)
+        failed: dict[int, int] = {}
+        found = search(goal, multiset(goal), bound, failed)
         memo_peak = max(memo_peak, len(failed) + len(proved))
         if found is not None:
             return Proved(found)
@@ -370,7 +401,7 @@ def _forward_right_rewrites(seq: Sequent, rule: RuleId) -> list[Sequent]:
         for j, ctx in enumerate(seq.succ):
             if not is_atomic(ctx):
                 continue
-            for paths in _path_subsets(ctx, frm):
+            for paths in _nonempty_nonoverlapping_subsets(occurrences(ctx, frm)):
                 new = replace_at(ctx, set(paths), frm, to)
                 ante = seq.ante if keeps else remove_at(seq.ante, e_i)
                 out.append(Sequent(ante, replace_formula(seq.succ, j, new)))
@@ -389,7 +420,7 @@ def _forward_eq_intro(seq: Sequent, rule: RuleId, atom_pool: list[Formula]) -> l
         for j, ctx in enumerate(seq.succ):
             if not is_atomic(ctx):
                 continue
-            for paths in _path_subsets(ctx, frm):
+            for paths in _nonempty_nonoverlapping_subsets(occurrences(ctx, frm)):
                 new = replace_at(ctx, set(paths), frm, to)
                 out.append(Sequent((e,) + seq.ante, replace_formula(seq.succ, j, new)))
     return out
@@ -411,31 +442,13 @@ def _forward_left_rewrites(seq: Sequent, rule: RuleId) -> list[Sequent]:
                 for i2, other in enumerate(seq.ante):
                     if i2 in (e_i, i):
                         continue
-                    for paths in _path_subsets(other, to):
+                    for paths in _nonempty_nonoverlapping_subsets(occurrences(other, to)):
                         if replace_at(other, set(paths), to, frm) == ctx:
                             out.append(Sequent(remove_at(seq.ante, i2), seq.succ))
             else:
-                for paths in _path_subsets(ctx, frm):
+                for paths in _nonempty_nonoverlapping_subsets(occurrences(ctx, frm)):
                     new = replace_at(ctx, set(paths), frm, to)
                     out.append(Sequent(replace_formula(seq.ante, i, new), seq.succ))
-    return out
-
-
-def _path_subsets(ctx: Formula, frm: Term) -> list[tuple[Path, ...]]:
-    occ = occurrences(ctx, frm)
-    out: list[tuple[Path, ...]] = []
-
-    def extend(start: int, chosen: list[Path]) -> None:
-        if chosen:
-            out.append(tuple(chosen))
-        for k in range(start, len(occ)):
-            if any(paths_overlap(occ[k], c) for c in chosen):
-                continue
-            chosen.append(occ[k])
-            extend(k + 1, chosen)
-            chosen.pop()
-
-    extend(0, [])
     return out
 
 
@@ -498,7 +511,7 @@ def forward_pair_conclusions(p1: Sequent, p2: Sequent, spec: CalculusSpec) -> li
             for k, ctx in enumerate(p2.succ):
                 if not is_atomic(ctx):
                     continue
-                for paths in _path_subsets(ctx, e.lhs):
+                for paths in _nonempty_nonoverlapping_subsets(occurrences(ctx, e.lhs)):
                     new = replace_at(ctx, set(paths), e.lhs, e.rhs)
                     out.append(
                         Sequent(
@@ -671,6 +684,7 @@ def exact_decide(goal: Sequent, spec: CalculusSpec, lim: SearchLimits) -> ExactR
     is False when the budget was hit, in which case nothing is claimed.
     """
     universe = lim.universe if lim.universe is not None else default_universe(goal, lim.term_height)
+    pool = MovePool()
     seen: dict[Sequent, list[list[Sequent]]] = {}
     frontier = deque([goal])
     states = 0
@@ -682,8 +696,7 @@ def exact_decide(goal: Sequent, spec: CalculusSpec, lim: SearchLimits) -> ExactR
         if states > lim.node_budget:
             return ExactResult(False, False, states)
         alts: list[list[Sequent]] = []
-        for inst in applicable_instances(seq, spec, universe | sequent_terms(seq)):
-            premisses = premisses_of(seq, inst, spec)
+        for _, premisses in expansions(seq, spec, universe | sequent_terms(seq), pool):
             alts.append(premisses)
             for p in premisses:
                 if p not in seen:
@@ -842,6 +855,30 @@ def decide_function_free(goal: Sequent) -> WitnessPlan | DecidedUnderivable:
                 assert all(c is not None for c in chains)
                 return WitnessPlan(goal, i, chains)  # type: ignore[arg-type]
     return DecidedUnderivable("no antecedent atom matches argumentwise up to congruence")
+
+
+COUNTERMODEL = "countermodel"
+
+
+def refuted_by_countermodel(goal: Sequent) -> bool:
+    """Whether a function-free atomic sequent is invalid.
+
+    The parameters modulo the congruence that the antecedent equalities
+    generate, with exactly the antecedent atoms true, form a model of the
+    antecedent; the sequent is invalid when that model makes no succedent
+    formula true, which :func:`decide_function_free` tests one formula at a
+    time.  Every rule of every calculus here is sound, so an invalid sequent
+    is underivable in all of them.  A sequent with any other formula or term
+    is never refuted.
+    """
+    for f in goal.all_formulas():
+        terms = (f.lhs, f.rhs) if isinstance(f, Eq) else f.args if isinstance(f, Atom) else None
+        if terms is None or not all(isinstance(t, Param) for t in terms):
+            return False
+    return all(
+        isinstance(decide_function_free(Sequent(goal.ante, (f,))), DecidedUnderivable)
+        for f in goal.succ
+    )
 
 
 def chain_to_derivation(plan: WitnessPlan) -> Derivation:

@@ -7,6 +7,7 @@ shared freely between concurrent workers.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from collections import Counter
 from functools import cached_property
@@ -20,6 +21,24 @@ class SyntaxInvariantError(EqSeqError):
     """A term/formula operation was applied outside its precondition."""
 
 
+def _cached_repr(cls):
+    """The dataclass ``repr``, kept on each instance once computed: sequents
+    compare formulas by it, and a new formula shares most of its subterms."""
+    head = cls.__qualname__ + "("
+    names = tuple(f.name for f in dataclasses.fields(cls))
+
+    def __repr__(self) -> str:
+        try:
+            return self.__dict__["_repr"]
+        except KeyError:
+            text = head + ", ".join([f"{n}={getattr(self, n)!r}" for n in names]) + ")"
+            object.__setattr__(self, "_repr", text)
+            return text
+
+    cls.__repr__ = __repr__
+    return cls
+
+
 # ---------------------------------------------------------------------------
 # Terms
 
@@ -29,6 +48,7 @@ class Term:
     pass
 
 
+@_cached_repr
 @dataclass(frozen=True)
 class Param(Term):
     """A constant or free variable (the calculi never distinguish them)."""
@@ -39,6 +59,7 @@ class Param(Term):
         return self.name
 
 
+@_cached_repr
 @dataclass(frozen=True)
 class BoundVar(Term):
     name: str
@@ -47,6 +68,7 @@ class BoundVar(Term):
         return self.name
 
 
+@_cached_repr
 @dataclass(frozen=True)
 class FunApp(Term):
     sym: str
@@ -103,6 +125,7 @@ class Formula:
     pass
 
 
+@_cached_repr
 @dataclass(frozen=True)
 class Atom(Formula):
     pred: str
@@ -114,6 +137,7 @@ class Atom(Formula):
         return f"{self.pred}({', '.join(str(a) for a in self.args)})"
 
 
+@_cached_repr
 @dataclass(frozen=True)
 class Eq(Formula):
     lhs: Term
@@ -123,6 +147,7 @@ class Eq(Formula):
         return f"{self.lhs} = {self.rhs}"
 
 
+@_cached_repr
 @dataclass(frozen=True)
 class Bottom(Formula):
     def __str__(self) -> str:
@@ -132,30 +157,35 @@ class Bottom(Formula):
 BOT = Bottom()
 
 
+@_cached_repr
 @dataclass(frozen=True)
 class And(Formula):
     left: Formula
     right: Formula
 
 
+@_cached_repr
 @dataclass(frozen=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
+@_cached_repr
 @dataclass(frozen=True)
 class Imp(Formula):
     left: Formula
     right: Formula
 
 
+@_cached_repr
 @dataclass(frozen=True)
 class Forall(Formula):
     var: str
     body: Formula
 
 
+@_cached_repr
 @dataclass(frozen=True)
 class Exists(Formula):
     var: str
@@ -483,8 +513,3 @@ def remove_at(fs: tuple[Formula, ...], idx: int) -> tuple[Formula, ...]:
 
 def replace_formula(fs: tuple[Formula, ...], idx: int, *new: Formula) -> tuple[Formula, ...]:
     return fs[:idx] + tuple(new) + fs[idx + 1 :]
-
-
-def multiset_contains(big: tuple[Formula, ...], small: tuple[Formula, ...]) -> bool:
-    cb, cs = Counter(big), Counter(small)
-    return all(cb[f] >= n for f, n in cs.items())

@@ -1483,14 +1483,6 @@ def _terms_of(idx: int, e: Eq) -> tuple[Term, Term]:
     return (e.rhs, e.lhs) if idx == 1 else (e.lhs, e.rhs)
 
 
-def _eq_side_replace(e: Eq, side: int, rel: Path, to: Term) -> Eq:
-    from .syntax import replace_in_term
-
-    if side == 0:
-        return Eq(replace_in_term(e.lhs, rel, to), e.rhs)
-    return Eq(e.lhs, replace_in_term(e.rhs, rel, to))
-
-
 def _push_up(d0: Derivation, job: _RightJob, concl: Sequent, work: CalculusSpec) -> Derivation:
     """Derivation of ``concl`` in the working calculus, given that ``concl``
     follows from ``d0``'s endsequent by the (excluded) succedent replacement

@@ -16,6 +16,7 @@ from eqseq.calculus import (
     repl_inst,
 )
 from eqseq.checker import Derivation, check, node
+from eqseq.parser import parse_sequent
 from eqseq.syntax import (
     Atom,
     Eq,
@@ -244,3 +245,32 @@ def random_function_free_sequent(rng: random.Random, n_params=6, n_eqs=4, n_atom
         base = rng.choice(atoms)
         goal = Atom(base.pred, tuple(rng.choice(params) for _ in base.args))
     return Sequent(tuple(ante), (goal,))
+
+
+# Presets equivalent on function-free goals (the last two by the orientation
+# theorem), and the goals criterion 7 compares them on.
+EQUIVALENT_PRESETS = [
+    "R12r",
+    "R12r_eqr",
+    "R12rl",
+    "R_scope",
+    "R_scope_eqr",
+    "R1rlPlus",
+    "R2rlPlus",
+    "R12rlPlus",
+    "R12prec_rlPlus",
+    "RefRep",
+    "RefRep2L",
+    "CngLCeq",
+    "R1rl",
+    "R2rl",
+]
+
+
+def criterion_7_corpus() -> list[Sequent]:
+    rng = random.Random(77)
+    witnesses = ("a=c, b=c |- a=b", "c=b, c=a |- a=b", "b=a |- a=b", "|- t=t")
+    corpus = [parse_sequent(text) for text in witnesses]
+    while len(corpus) < 18:
+        corpus.append(random_function_free_sequent(rng, n_params=4, n_eqs=3, n_atoms=1))
+    return corpus

@@ -6,7 +6,7 @@ import pathlib
 import random
 import time
 
-from corpus import grow, random_function_free_sequent
+from corpus import EQUIVALENT_PRESETS, criterion_7_corpus, grow, random_function_free_sequent
 from eqseq.calculus import (
     PRESETS,
     PREC_HEIGHT,
@@ -291,31 +291,9 @@ def test_criterion_6_height_preservation():
     )
 
 
-EQUIVALENT_PRESETS = [
-    "R12r",
-    "R12r_eqr",
-    "R12rl",
-    "R_scope",
-    "R_scope_eqr",
-    "R1rlPlus",
-    "R2rlPlus",
-    "R12rlPlus",
-    "R12prec_rlPlus",
-    "RefRep",
-    "RefRep2L",
-    "CngLCeq",
-    # equivalent on the function-free corpus used here (orientation theorem)
-    "R1rl",
-    "R2rl",
-]
-
-
 def test_criterion_7_preset_equivalence_matrix():
     t0 = time.monotonic()
-    rng = random.Random(77)
-    corpus = [seq("a=c, b=c |- a=b"), seq("c=b, c=a |- a=b"), seq("b=a |- a=b"), seq("|- t=t")]
-    while len(corpus) < 18:
-        corpus.append(random_function_free_sequent(rng, n_params=4, n_eqs=3, n_atoms=1))
+    corpus = criterion_7_corpus()
     lim = SearchLimits(max_depth=4, term_height=1, node_budget=60_000)
     outcomes = {}
     for name in EQUIVALENT_PRESETS:

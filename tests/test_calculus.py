@@ -1,7 +1,9 @@
+import dataclasses
 import itertools
 
 import pytest
 
+from corpus import EQUIVALENT_PRESETS, criterion_7_corpus
 from eqseq.calculus import (
     CalculusError,
     CalculusSpec,
@@ -14,8 +16,15 @@ from eqseq.calculus import (
     RuleId,
     RuleInstance,
     Replacement,
+    _goal_predicates,
+    _nonempty_nonoverlapping_subsets,
+    _sorted_universe,
+    _subsets,
+    _top_subterms,
     applicable_instances,
+    expansions,
     leaf,
+    leaf_expansions,
     parse_spec,
     premisses_of,
     repl_inst,
@@ -23,7 +32,8 @@ from eqseq.calculus import (
     resolve_spec,
 )
 from eqseq.parser import parse_sequent, parse_term, print_sequent
-from eqseq.syntax import Param
+from eqseq.search import default_universe
+from eqseq.syntax import Atom, Eq, Param, occurrences, subterms, term_height
 
 R12r = PRESETS["R12r"]
 S1 = PRESETS["S1"]
@@ -248,3 +258,140 @@ def test_base_validation():
         CalculusSpec("c", frozenset({RuleId.RIMPI}))
     with pytest.raises(CalculusError):
         Precedence("explicit", frozenset({(Param("a"), Param("b")), (Param("b"), Param("a"))}))
+
+
+# ---------------------------------------------------------------------------
+# The move generator
+
+
+GENERATOR_SPECS = [PRESETS[name] for name in EQUIVALENT_PRESETS + ["CngCut", "EqCut", "S1", "S2"]] + [
+    parse_spec("base=none rules=refax,rep1r,rep2r,rep1l,rep2l,cng flags=single"),
+    parse_spec("base=none rules=refax,eq1,eq2,rep,repp,cut flags=eqr,ctx-noneq"),
+]
+
+
+def _candidates(goal, spec, universe):
+    """Every candidate instance in the generator's order, legal or not, with
+    every context split."""
+    terms_ = _sorted_universe(universe)
+    ante, succ = goal.ante, goal.succ
+    for i in range(len(ante)):
+        for j in range(len(succ)):
+            yield leaf(RuleId.INIT, i, j)
+            yield leaf(RuleId.MINBOT, i, j)
+    for j in range(len(succ)):
+        yield leaf(RuleId.REFAX, j)
+    for i in range(len(ante)):
+        yield leaf(RuleId.LBOT, i)
+    ante_rules = ["land", "lor", "limp", "limpi", "lw", "lc", "lceq", "symm"]
+    for rule in [RuleId(r) for r in ante_rules]:
+        for i in range(len(ante)):
+            yield RuleInstance(rule, (i,))
+    for rule in [RuleId(r) for r in ("rand", "ror", "rimp", "rimpi", "rw", "rc")]:
+        for j in range(len(succ)):
+            yield RuleInstance(rule, (j,))
+    for i in range(len(ante)):
+        for t in terms_:
+            yield RuleInstance(RuleId.LFORALL, (i,), witness=t)
+    for j in range(len(succ)):
+        for t in terms_:
+            yield RuleInstance(RuleId.REXISTS, (j,), witness=t)
+    for rule in (RuleId.RFORALL, RuleId.RFORALLI):
+        for j in range(len(succ)):
+            yield RuleInstance(rule, (j,), eigen="_e1")
+    for i in range(len(ante)):
+        yield RuleInstance(RuleId.LEXISTS, (i,), eigen="_e1")
+    for t in terms_:
+        yield RuleInstance(RuleId.REFL, witness=t)
+    for e, op in enumerate(ante):
+        if not isinstance(op, Eq):
+            continue
+        for rule in [RuleId(r) for r in ("rep1r", "rep2r", "eq1", "eq2")]:
+            frm = op.rhs if rule in (RuleId.REP1R, RuleId.EQ1) else op.lhs
+            for j, ctx in enumerate(succ):
+                for paths in _nonempty_nonoverlapping_subsets(occurrences(ctx, frm)):
+                    yield repl_inst(rule, e, j, paths)
+        for rule in [RuleId(r) for r in ("rep1l", "rep2l", "rep", "repp", "rep1lp", "rep2lp")]:
+            frm = op.rhs if rule in (RuleId.REP1L, RuleId.REPP, RuleId.REP1LP) else op.lhs
+            for i, ctx in enumerate(ante):
+                if i != e:
+                    for paths in _nonempty_nonoverlapping_subsets(occurrences(ctx, frm)):
+                        yield repl_inst(rule, e, i, paths)
+    for j, ctx in enumerate(succ):
+        ctx_terms = sorted(
+            {t for s in _top_subterms(ctx) for t in subterms(s)}, key=lambda t: (term_height(t), str(t))
+        )
+        for s_term in ctx_terms:
+            for paths in _nonempty_nonoverlapping_subsets(occurrences(ctx, s_term)):
+                for r_term in terms_:
+                    for a1 in _subsets(len(ante)):
+                        for s1 in _subsets(len(succ)):
+                            yield RuleInstance(
+                                RuleId.CNG, replacement=Replacement(None, j, paths), witness=r_term, split=(a1, s1)
+                            )
+    candidates = [Eq(u, v) for u in terms_ for v in terms_]
+    for pred, arity in sorted(_goal_predicates(goal)):
+        candidates += [Atom(pred, args) for args in itertools.product(terms_, repeat=arity)]
+    for a in candidates:
+        for a1 in _subsets(len(ante)):
+            for s1 in _subsets(len(succ)):
+                yield RuleInstance(RuleId.CUT, cut_formula=a, split=(a1, s1))
+
+
+def _kernel_moves(goal, spec, universe):
+    """The candidates ``premisses_of`` accepts, with their premisses, keeping
+    the first of the splits of one instance whose premisses are
+    multiset-equal; and how many splits were dropped that way."""
+    kept, seen, dropped = [], set(), 0
+    for inst in _candidates(goal, spec, universe):
+        try:
+            premisses = premisses_of(goal, inst, spec)
+        except CalculusError:
+            continue
+        if inst.split is not None:
+            key = (dataclasses.replace(inst, split=None), tuple(premisses))  # sequents hash as multisets
+            if key in seen:
+                dropped += 1
+                continue
+            seen.add(key)
+        kept.append((inst, premisses))
+    return kept, dropped
+
+
+def _ordered(moves):
+    return [(inst, [(p.ante, p.succ) for p in premisses]) for inst, premisses in moves]
+
+
+def test_expansions_are_the_moves_the_kernel_accepts():
+    several = [seq("a=b, P(a), a=b |- Q(b), P(b), a=b"), seq("f(a)=b, P(b) |- P(f(a)), a=a")]
+    for goal in criterion_7_corpus() + several:
+        universe = default_universe(goal, 1)
+        for spec in GENERATOR_SPECS:
+            want, _ = _kernel_moves(goal, spec, universe)
+            # the same instances in the same order, each with the same
+            # premisses, formulas in the same order
+            assert _ordered(expansions(goal, spec, universe)) == _ordered(want), (spec.describe(), str(goal))
+
+
+@pytest.mark.parametrize("text", ["a=b, a=b, P(a) |- P(b)", "a=b, P(a), a=b |- P(b), P(b)"])
+@pytest.mark.parametrize("name", ["CngLCeq", "CngCut"])
+def test_split_collapse_keeps_the_first_of_each_premiss_class(text, name):
+    goal, spec = seq(text), PRESETS[name]
+    universe = default_universe(goal, 1)
+    want, dropped = _kernel_moves(goal, spec, universe)
+    assert dropped > 0  # each dropped split repeats the premisses of an earlier one
+    assert expansions(goal, spec, universe) == want
+
+
+@pytest.mark.parametrize(
+    "text, name",
+    [(t, n) for t in ("a=c, b=c |- a=b", "P(a), a=b |- P(a), P(b), b=b", "|- t=t") for n in EQUIVALENT_PRESETS]
+    + [("bot |- bot", "G3m"), ("P(a), bot |- P(a)", "G3i"), ("bot, bot |- Q(a) & bot", "G3c")],
+)
+def test_leaf_expansions_are_the_zero_premiss_prefix(text, name):
+    goal, spec = seq(text), PRESETS[name]
+    moves = expansions(goal, spec, default_universe(goal, 1))
+    leaves = leaf_expansions(goal, spec)
+    assert moves[: len(leaves)] == leaves
+    assert all(premisses for _, premisses in moves[len(leaves) :])
+    assert all(premisses == [] for _, premisses in leaves)

@@ -37,6 +37,12 @@ def test_prove_exhaustion_exit_code(capsys):
     assert "result: exhausted" in out
 
 
+def test_prove_underivable_via_countermodel(capsys):
+    code, out, _ = invoke(capsys, "prove", "a=b |- a=c", "--preset", "R12r")
+    assert code == 1
+    assert "result: underivable" in out and "reason: countermodel" in out
+
+
 def test_prove_underivable_via_hook(capsys):
     code, out, _ = invoke(capsys, "prove", "a=c, b=c |- a=b", "--preset", "S1")
     assert code == 1

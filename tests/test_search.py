@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from corpus import random_function_free_sequent
-from eqseq.calculus import PRESETS, RuleId
-from eqseq.checker import check
-from eqseq.parser import parse_sequent
+from corpus import EQUIVALENT_PRESETS, criterion_7_corpus, random_function_free_sequent
+from eqseq.calculus import PRESETS, RuleId, applicable_instances, premisses_of
+from eqseq.checker import check, node
+from eqseq.parser import parse_sequent, print_derivation
 from eqseq.search import (
+    COUNTERMODEL,
+    DEFAULT_HOOKS,
     Chain,
     DecidedUnderivable,
     Exhausted,
@@ -16,13 +18,16 @@ from eqseq.search import (
     SearchLimits,
     Signature,
     WitnessPlan,
+    bounded_search,
     chain_extract,
     chain_to_derivation,
     decide_function_free,
     default_universe,
     exact_decide,
     prove,
+    refuted_by_countermodel,
     saturate_forward,
+    sequent_terms,
 )
 from eqseq.syntax import Eq, Param
 
@@ -194,3 +199,141 @@ def test_proved_derivations_always_check():
         if isinstance(out, Proved):
             assert check(out.derivation, R12r).valid
             assert out.derivation.sequent == goal
+
+
+def test_countermodel_refutes_exactly_the_invalid_function_free_goals():
+    rng = random.Random(7)
+    for _ in range(40):
+        goal = random_function_free_sequent(rng, n_params=4, n_eqs=3, n_atoms=2)
+        invalid = isinstance(decide_function_free(goal), DecidedUnderivable)
+        assert refuted_by_countermodel(goal) == invalid, str(goal)
+        out = prove(goal, R12r, SearchLimits(max_depth=4, term_height=1))
+        if invalid:
+            assert out == DecidedUnderivable(COUNTERMODEL), str(goal)
+        else:
+            assert not isinstance(out, DecidedUnderivable), str(goal)
+
+
+@pytest.mark.parametrize(
+    "text, refuted",
+    [
+        ("a = b |- a = c, P(a)", True),  # no succedent formula follows
+        ("a = b, P(b) |- a = c, P(a)", False),
+        ("a = b |-", True),  # an atomic antecedent is satisfiable
+        ("P(a) |- Q(a)", True),
+        ("|- a = b", True),
+        ("|- a = a", False),
+        ("a = f(b) |- a = b", False),  # function symbols: nothing claimed
+        ("bot |- a = b", False),  # not atomic: nothing claimed
+    ],
+)
+def test_countermodel_scope(text, refuted):
+    assert refuted_by_countermodel(seq(text)) is refuted
+
+
+def test_prove_refutes_before_the_search():
+    goal, lim = seq("p3 = p0, p2 = p3 |- p0 = p1"), SearchLimits(4, 1)
+    assert prove(goal, R12r, lim) == DecidedUnderivable(COUNTERMODEL)
+    out = bounded_search(goal, R12r, lim)
+    assert isinstance(out, Exhausted) and not out.budget_exceeded
+    # shape hooks still answer first
+    assert prove(seq("a=c, b=c |- a=b"), PRESETS["S1"], lim) == DecidedUnderivable("s1-shape")
+
+
+def _reference_prove(goal, spec, lim, hooks=DEFAULT_HOOKS):
+    """The search loop without a move table: every node recomputes its
+    instances with ``applicable_instances`` and their premisses with
+    ``premisses_of``, whatever its depth."""
+    active = [h for h in hooks if h.covers(spec)]
+    for h in active:
+        if h.matches(goal):
+            return DecidedUnderivable(h.name)
+    universe = lim.universe if lim.universe is not None else default_universe(goal, lim.term_height)
+    proved = {}
+    used, budget_hit = 0, False
+
+    def search(s, depth, failed):
+        nonlocal used, budget_hit
+        if s in proved and proved[s].height <= depth:
+            return proved[s]
+        if failed.get(s, -1) >= depth:
+            return None
+        used += 1
+        if used > lim.node_budget:
+            budget_hit = True
+            return None
+        for h in active:
+            if h.matches(s):
+                failed[s] = lim.max_depth
+                return None
+        for inst in applicable_instances(s, spec, universe | sequent_terms(s)):
+            premisses = premisses_of(s, inst, spec)
+            if premisses and depth <= 0:
+                continue
+            children = []
+            for p in premisses:
+                sub = search(p, depth - 1, failed)
+                if sub is None:
+                    break
+                children.append(sub)
+            else:
+                proved[s] = node(s, inst, *children)
+                return proved[s]
+            if budget_hit:
+                return None
+        failed[s] = max(failed.get(s, -1), depth)
+        return None
+
+    memo_peak = 0
+    for bound in range(lim.max_depth + 1):
+        failed = {}
+        found = search(goal, bound, failed)
+        memo_peak = max(memo_peak, len(failed) + len(proved))
+        if found is not None:
+            return Proved(found)
+        if budget_hit:
+            break
+    return Exhausted(expansions=used, memo_size=memo_peak, budget_exceeded=budget_hit)
+
+
+def _assert_same_search(goal, spec, lim):
+    want, got = _reference_prove(goal, spec, lim), bounded_search(goal, spec, lim)
+    assert type(got) is type(want), str(goal)
+    if isinstance(want, Proved):
+        assert print_derivation(got.derivation) == print_derivation(want.derivation), str(goal)
+    else:
+        assert got == want, str(goal)  # Exhausted: expansions, memo_size, budget_exceeded
+    return got
+
+
+@pytest.mark.parametrize("name", EQUIVALENT_PRESETS)
+def test_prove_matches_the_tableless_search(name):
+    # CngLCeq's two large exhausted searches are cut by the budget here
+    budget = 400 if name == "CngLCeq" else 60_000
+    lim = SearchLimits(max_depth=4, term_height=1, node_budget=budget)
+    for goal in criterion_7_corpus():
+        _assert_same_search(goal, PRESETS[name], lim)
+
+
+@pytest.mark.parametrize(
+    "text, name, depth, height",
+    [
+        ("a = f(a) |- a = f(f(a))", "EqCutFree", 8, 4),
+        ("a = f(a), a = f(a) |- a = f(f(a))", "EqCutFree", 3, 4),
+        ("a = c, b = c |- a = b", "S1", 4, 1),
+        ("c = b, c = a |- a = b", "S2", 4, 1),
+        ("a = b, P(a) |- P(b)", "CngCut", 2, 1),
+        ("a = b, a = b, P(a) |- P(b)", "CngLCeq", 2, 1),
+        # a sequent proved higher up must not serve where less depth is left
+        ("p0 = p2, Q(p2) |- p1 = p0", "CngLCeq", 4, 1),
+    ],
+)
+def test_prove_matches_the_tableless_search_on_witnesses(text, name, depth, height):
+    _assert_same_search(seq(text), PRESETS[name], SearchLimits(depth, height))
+
+
+@pytest.mark.parametrize("name, budget", [("R12rlPlus", 60), ("CngLCeq", 150)])
+def test_prove_matches_the_tableless_search_when_the_budget_runs_out(name, budget):
+    goal = seq("p3 = p0, p2 = p3 |- p0 = p1")
+    out = _assert_same_search(goal, PRESETS[name], SearchLimits(4, 1, node_budget=budget))
+    assert isinstance(out, Exhausted) and out.budget_exceeded
