@@ -13,7 +13,9 @@ from eqseq.parser import (
     print_formula,
     print_sequent,
 )
-from eqseq.syntax import And, Atom, Eq, Forall, FunApp, Imp, Or, Param
+from eqseq.calculus import Replacement, RuleId, RuleInstance
+from eqseq.checker import Derivation
+from eqseq.syntax import And, Atom, BoundVar, Eq, Forall, FunApp, Imp, Or, Param, Sequent
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -98,6 +100,91 @@ def test_derivation_unknown_rule():
 def test_derivation_malformed_args():
     with pytest.raises(ParseError):
         parse_derivation('(rep2r [0;0;] "a = b |- a = a" (init [0;0] "a = b |- a = b"))')
+
+
+_a, _b = Param("a"), Param("b")
+_fa = FunApp("f", (_a,))
+
+# One instance of every rule with its exact `.drv` argument text.
+INSTANCE_ARGS = [
+    (RuleInstance(RuleId.INIT, (1, 0)), "1;0"),
+    (RuleInstance(RuleId.MINBOT, (0, 2)), "0;2"),
+    (RuleInstance(RuleId.REFAX, (2,)), "2"),
+    (RuleInstance(RuleId.LBOT, (1,)), "1"),
+    (RuleInstance(RuleId.LAND, (0,)), "0"),
+    (RuleInstance(RuleId.RAND, (1,)), "1"),
+    (RuleInstance(RuleId.LOR, (2,)), "2"),
+    (RuleInstance(RuleId.ROR, (0,)), "0"),
+    (RuleInstance(RuleId.LIMP, (1,)), "1"),
+    (RuleInstance(RuleId.RIMP, (0,)), "0"),
+    (RuleInstance(RuleId.LIMPI, (3,)), "3"),
+    (RuleInstance(RuleId.RIMPI, (1,)), "1"),
+    (RuleInstance(RuleId.LFORALL, (1,), witness=_fa), "1;f(a)"),
+    (RuleInstance(RuleId.RFORALL, (0,), eigen="_e1"), "0;_e1"),
+    (RuleInstance(RuleId.RFORALLI, (2,), eigen="_e3"), "2;_e3"),
+    (RuleInstance(RuleId.LEXISTS, (1,), eigen="_e2"), "1;_e2"),
+    (RuleInstance(RuleId.REXISTS, (0,), witness=FunApp("g", (_a, _b))), "0;g(a, b)"),
+    (RuleInstance(RuleId.LW, (2,)), "2"),
+    (RuleInstance(RuleId.RW, (0,)), "0"),
+    (RuleInstance(RuleId.LC, (1,)), "1"),
+    (RuleInstance(RuleId.RC, (2,)), "2"),
+    (RuleInstance(RuleId.LCEQ, (0,)), "0"),
+    (
+        RuleInstance(RuleId.CUT, cut_formula=Forall("x", Imp(Atom("P", (BoundVar("x"),)), Atom("Q", ()))),
+                     split=((0, 2), (1,))),
+        '0,2;1;"forall x. P(x) -> Q"',
+    ),
+    (RuleInstance(RuleId.REFL, witness=_fa), "f(a)"),
+    (RuleInstance(RuleId.EQ1, replacement=Replacement(1, 0, ((0,),))), "1;0;0"),
+    (RuleInstance(RuleId.EQ2, replacement=Replacement(0, 1, ((1, 0),))), "0;1;1.0"),
+    (RuleInstance(RuleId.REP1R, replacement=Replacement(0, 1, ((0,),))), "0;1;0"),
+    (RuleInstance(RuleId.REP2R, replacement=Replacement(2, 0, ((1,), (0, 1)))), "2;0;0.1,1"),
+    (RuleInstance(RuleId.REP1L, replacement=Replacement(0, 2, ((1,),))), "0;2;1"),
+    (RuleInstance(RuleId.REP2L, replacement=Replacement(1, 0, ((0,), (1,)))), "1;0;0,1"),
+    (RuleInstance(RuleId.REP, replacement=Replacement(2, 1, ((0, 0),))), "2;1;0.0"),
+    (RuleInstance(RuleId.REPP, replacement=Replacement(1, 2, ((1,),))), "1;2;1"),
+    (RuleInstance(RuleId.REP1LP, replacement=Replacement(0, 1, ((0,),))), "0;1;0"),
+    (RuleInstance(RuleId.REP2LP, replacement=Replacement(1, 0, ((1, 1),))), "1;0;1.1"),
+    (
+        RuleInstance(RuleId.CNG, replacement=Replacement(None, 1, ((1, 0), (0,))), witness=_fa,
+                     split=((0,), ())),
+        '0;;1;0,1.0;"f(a)"',
+    ),
+    (RuleInstance(RuleId.SYMM, (1,)), "1"),
+]
+
+
+@pytest.mark.parametrize("inst, args", INSTANCE_ARGS, ids=[i.rule.value for i, _ in INSTANCE_ARGS])
+def test_instance_args_text(inst, args):
+    text = f'({inst.rule.value} [{args}] "|-")\n'
+    assert print_derivation(Derivation(Sequent((), ()), inst)) == text
+    assert parse_derivation(text).inst == inst
+
+
+def test_instance_args_cover_every_rule():
+    assert sorted(inst.rule.value for inst, _ in INSTANCE_ARGS) == sorted(r.value for r in RuleId)
+
+
+@pytest.mark.parametrize(
+    "text, message, span",
+    [
+        ('(rep2r [0;0;] "a = b |- a = a")', "malformed instance args: empty path list", (1, 6, 1, 2)),
+        ('(rep2r [0;0] "|-")', "expected ';', found ']'", (11, 12, 1, 12)),
+        ('(cut [0;1;P] "|-")', "expected a quoted string, found 'P'", (10, 11, 1, 11)),
+        ('(cut [0;1;"P("] "|-")', "unexpected end of input", (2, 2, 1, 2)),
+        ('(lforall [0;P] "|-")', "expected a term, found 'P'", (12, 13, 1, 13)),
+        ('(rforall [0;3] "|-")', "expected a name, found '3'", (12, 13, 1, 13)),
+        ('(init [0] "|-")', "expected ';', found ']'", (8, 9, 1, 9)),
+        ('(refl [] "|-")', "expected a term, found ']'", (7, 8, 1, 8)),
+        ('(land [x] "|-")', "expected an index, found 'x'", (7, 8, 1, 8)),
+        ('(land [0;1] "|-")', "expected ']', found ';'", (8, 9, 1, 9)),
+    ],
+)
+def test_instance_arg_errors(text, message, span):
+    with pytest.raises(ParseError) as err:
+        parse_derivation(text)
+    s = err.value.span
+    assert (err.value.message, (s.start, s.end, s.line, s.column)) == (message, span)
 
 
 def test_golden_corpus_round_trip():
