@@ -36,6 +36,7 @@ from .syntax import (
     PathError,
     Sequent,
     Term,
+    _top_terms,
     is_atomic,
     is_identity,
     occurrences,
@@ -149,27 +150,6 @@ G3IM_LOGICAL = frozenset(
 )
 
 LOGICAL_RULES = G3C_LOGICAL | G3IM_LOGICAL
-
-# (index, premiss keeps the operating equality)
-RIGHT_REPLACEMENT: dict[RuleId, tuple[int, bool]] = {
-    RuleId.REP1R: (1, True),
-    RuleId.REP2R: (2, True),
-    RuleId.EQ1: (1, False),
-    RuleId.EQ2: (2, False),
-}
-
-# (index, retention) where retention: "strict" replaces the context formula,
-# "keep" retains it alongside the rewritten copy, "plus" keeps it only when
-# the context formula is an equality.
-LEFT_REPLACEMENT: dict[RuleId, tuple[int, str]] = {
-    RuleId.REP1L: (1, "strict"),
-    RuleId.REP2L: (2, "strict"),
-    RuleId.REPP: (1, "keep"),
-    RuleId.REP: (2, "keep"),
-    RuleId.REP1LP: (1, "plus"),
-    RuleId.REP2LP: (2, "plus"),
-}
-
 
 class Flag(str, Enum):
     RIGHT_HAND_ONLY = "eqr"  # equality context formulas rewritten only in their rhs
@@ -302,17 +282,6 @@ class RuleInstance:
     cut_formula: Formula | None = None
     split: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
-    @property
-    def orientation(self) -> str | None:
-        """Forward use of the operating equality: left-to-right or right-to-left."""
-        if self.rule in RIGHT_REPLACEMENT:
-            return "lr" if RIGHT_REPLACEMENT[self.rule][0] == 1 else "rl"
-        if self.rule in LEFT_REPLACEMENT:
-            return "lr" if LEFT_REPLACEMENT[self.rule][0] == 1 else "rl"
-        if self.rule is RuleId.CNG:
-            return "lr"
-        return None
-
 
 def leaf(rule: RuleId, *principal: int) -> RuleInstance:
     return RuleInstance(rule, principal)
@@ -323,6 +292,117 @@ def repl_inst(rule: RuleId, eq_index: int | None, context_index: int, paths) -> 
 
 
 # ---------------------------------------------------------------------------
+# Rule signatures
+
+# the RuleInstance attribute each signature field fills
+_FIELD_ATTR = {
+    "witness": "witness",
+    "quoted_witness": "witness",
+    "eigen": "eigen",
+    "cut_formula": "cut_formula",
+    "split": "split",
+    "eq_index": "replacement",
+    "context_index": "replacement",
+    "paths": "replacement",
+}
+
+
+@dataclass(frozen=True)
+class RuleSig:
+    """What the instances of one rule carry, and its replacement facts.
+
+    ``principal`` has one letter per principal index, the side it points
+    into: ``a`` (antecedent) or ``s`` (succedent).  ``fields`` names the
+    further ``.drv`` arguments in order: ``witness`` (a term), ``eigen`` (a
+    parameter name), ``split`` (the antecedent and the succedent indices that
+    go to the first premiss), ``cut_formula`` (quoted), ``eq_index`` (the
+    operating equality in the antecedent), ``context_index`` (the context
+    formula on the ``context_side``), ``paths`` (of the replaced occurrences)
+    and ``quoted_witness`` (a quoted term).
+
+    A replacement rule has an ``index`` (1 or 2, see the module docstring)
+    and a ``retention``: what its premiss keeps besides the rewritten context
+    formula.  For succedent rules that is the operating equality (``keep``)
+    or nothing (``strict``); for antecedent rules it is the context formula
+    itself, never (``strict``), always (``keep``) or when it is an equality
+    (``plus``).
+    """
+
+    principal: str = ""
+    fields: tuple[str, ...] = ()
+    index: int | None = None
+    retention: str | None = None
+    context_side: str | None = None
+
+    @cached_property
+    def stray(self) -> tuple[str, ...]:
+        """The optional ``RuleInstance`` attributes this rule does not take."""
+        taken = {_FIELD_ATTR[f] for f in self.fields}
+        optional = ("witness", "eigen", "cut_formula", "split", "replacement")
+        return tuple(a for a in optional if a not in taken)
+
+    def terms(self, operating: Eq) -> tuple[Term, Term]:
+        """(conclusion-side term, premiss-side term) of this replacement rule
+        on ``operating``, under the backward reading."""
+        if self.index == 1:
+            return operating.rhs, operating.lhs
+        return operating.lhs, operating.rhs
+
+    def keeps_context(self, ctx: Formula) -> bool:
+        """Whether the premiss of this antecedent replacement keeps the
+        context formula ``ctx`` beside its rewritten copy."""
+        return self.context_side == "a" and (
+            self.retention == "keep" or (self.retention == "plus" and isinstance(ctx, Eq))
+        )
+
+
+def _rep_sig(index: int, retention: str, side: str) -> RuleSig:
+    return RuleSig("", ("eq_index", "context_index", "paths"), index, retention, side)
+
+
+# In the order of backward moves (see ``expansions``): the leaves, the rules
+# with one principal formula, reflexivity, replacement, congruence and cut.
+RULES: dict[RuleId, RuleSig] = {
+    RuleId.INIT: RuleSig("as"),
+    RuleId.MINBOT: RuleSig("as"),
+    RuleId.REFAX: RuleSig("s"),
+    RuleId.LBOT: RuleSig("a"),
+    RuleId.LAND: RuleSig("a"),
+    RuleId.LOR: RuleSig("a"),
+    RuleId.LIMP: RuleSig("a"),
+    RuleId.LIMPI: RuleSig("a"),
+    RuleId.LW: RuleSig("a"),
+    RuleId.LC: RuleSig("a"),
+    RuleId.LCEQ: RuleSig("a"),
+    RuleId.SYMM: RuleSig("a"),
+    RuleId.RAND: RuleSig("s"),
+    RuleId.ROR: RuleSig("s"),
+    RuleId.RIMP: RuleSig("s"),
+    RuleId.RIMPI: RuleSig("s"),
+    RuleId.RW: RuleSig("s"),
+    RuleId.RC: RuleSig("s"),
+    RuleId.LFORALL: RuleSig("a", ("witness",)),
+    RuleId.REXISTS: RuleSig("s", ("witness",)),
+    RuleId.RFORALL: RuleSig("s", ("eigen",)),
+    RuleId.RFORALLI: RuleSig("s", ("eigen",)),
+    RuleId.LEXISTS: RuleSig("a", ("eigen",)),
+    RuleId.REFL: RuleSig("", ("witness",)),
+    RuleId.REP1R: _rep_sig(1, "keep", "s"),
+    RuleId.REP2R: _rep_sig(2, "keep", "s"),
+    RuleId.EQ1: _rep_sig(1, "strict", "s"),
+    RuleId.EQ2: _rep_sig(2, "strict", "s"),
+    RuleId.REP1L: _rep_sig(1, "strict", "a"),
+    RuleId.REP2L: _rep_sig(2, "strict", "a"),
+    RuleId.REP: _rep_sig(2, "keep", "a"),
+    RuleId.REPP: _rep_sig(1, "keep", "a"),
+    RuleId.REP1LP: _rep_sig(1, "plus", "a"),
+    RuleId.REP2LP: _rep_sig(2, "plus", "a"),
+    RuleId.CNG: RuleSig("", ("split", "context_index", "paths", "quoted_witness"), context_side="s"),
+    RuleId.CUT: RuleSig("", ("split", "cut_formula")),
+}
+
+
+# ---------------------------------------------------------------------------
 # premisses_of
 
 
@@ -330,13 +410,6 @@ def _check_index(fs: tuple[Formula, ...], idx: int, what: str) -> Formula:
     if not (0 <= idx < len(fs)):
         raise ShapeMismatchError(f"{what} index {idx} out of range")
     return fs[idx]
-
-
-def _replacement_terms(rule_index: int, operating: Eq) -> tuple[Term, Term]:
-    """(conclusion-side term, premiss-side term) under the backward reading."""
-    if rule_index == 1:
-        return operating.rhs, operating.lhs
-    return operating.lhs, operating.rhs
 
 
 def _check_orientation(spec: CalculusSpec, rule_index: int, operating: Eq) -> None:
@@ -386,153 +459,125 @@ def premisses_of(conclusion: Sequent, inst: RuleInstance, spec: CalculusSpec) ->
     rule = inst.rule
     if not spec.allows(rule):
         raise RuleNotInCalculusError(f"rule-not-in-calculus: {rule.value}")
+    sig = RULES[rule]
+    if len(inst.principal) != len(sig.principal):
+        raise ShapeMismatchError(f"{rule.value} takes {_PRINCIPAL_COUNT[len(sig.principal)]}")
+    for attr in sig.stray:
+        if getattr(inst, attr) is not None:
+            raise ShapeMismatchError(f"{rule.value} takes no {attr.replace('_', ' ')}")
     ante, succ = conclusion.ante, conclusion.succ
+    if sig.principal:  # k: the first principal index, f: its formula
+        k = inst.principal[0]
+        if sig.principal[0] == "a":
+            f = _check_index(ante, k, "antecedent")
+        else:
+            f = _check_index(succ, k, "succedent")
 
     # -- leaves
     if rule is RuleId.INIT:
-        i, j = _two(inst)
-        f = _check_index(ante, i, "antecedent")
-        g = _check_index(succ, j, "succedent")
+        g = _check_index(succ, inst.principal[1], "succedent")
         if f != g or not is_atomic(f):
             raise ShapeMismatchError("initial sequent needs one atomic formula on both sides")
         return []
     if rule is RuleId.REFAX:
-        (j,) = _one(inst)
-        g = _check_index(succ, j, "succedent")
-        if not is_identity(g):
+        if not is_identity(f):
             raise ShapeMismatchError("reflexivity axiom needs an identity in the succedent")
         return []
     if rule is RuleId.LBOT:
-        (i,) = _one(inst)
-        if not isinstance(_check_index(ante, i, "antecedent"), Bottom):
+        if not isinstance(f, Bottom):
             raise ShapeMismatchError("lbot needs bot in the antecedent")
         return []
     if rule is RuleId.MINBOT:
-        i, j = _two(inst)
-        if not isinstance(_check_index(ante, i, "antecedent"), Bottom) or not isinstance(
-            _check_index(succ, j, "succedent"), Bottom
-        ):
+        if not isinstance(f, Bottom) or not isinstance(_check_index(succ, inst.principal[1], "succedent"), Bottom):
             raise ShapeMismatchError("minimal bot axiom needs bot on both sides")
         return []
 
     # -- logical rules
     if rule is RuleId.LAND:
-        (i,) = _one(inst)
-        f = _check_index(ante, i, "antecedent")
         if not isinstance(f, And):
             raise ShapeMismatchError("land principal must be a conjunction")
-        return [Sequent(replace_formula(ante, i, f.left, f.right), succ)]
+        return [Sequent(replace_formula(ante, k, f.left, f.right), succ)]
     if rule is RuleId.RAND:
-        (j,) = _one(inst)
-        f = _check_index(succ, j, "succedent")
         if not isinstance(f, And):
             raise ShapeMismatchError("rand principal must be a conjunction")
         return [
-            Sequent(ante, replace_formula(succ, j, f.left)),
-            Sequent(ante, replace_formula(succ, j, f.right)),
+            Sequent(ante, replace_formula(succ, k, f.left)),
+            Sequent(ante, replace_formula(succ, k, f.right)),
         ]
     if rule is RuleId.LOR:
-        (i,) = _one(inst)
-        f = _check_index(ante, i, "antecedent")
         if not isinstance(f, Or):
             raise ShapeMismatchError("lor principal must be a disjunction")
         return [
-            Sequent(replace_formula(ante, i, f.left), succ),
-            Sequent(replace_formula(ante, i, f.right), succ),
+            Sequent(replace_formula(ante, k, f.left), succ),
+            Sequent(replace_formula(ante, k, f.right), succ),
         ]
     if rule is RuleId.ROR:
-        (j,) = _one(inst)
-        f = _check_index(succ, j, "succedent")
         if not isinstance(f, Or):
             raise ShapeMismatchError("ror principal must be a disjunction")
-        return [Sequent(ante, replace_formula(succ, j, f.left, f.right))]
+        return [Sequent(ante, replace_formula(succ, k, f.left, f.right))]
     if rule is RuleId.LIMP:
-        (i,) = _one(inst)
-        f = _check_index(ante, i, "antecedent")
         if not isinstance(f, Imp):
             raise ShapeMismatchError("limp principal must be an implication")
         return [
-            Sequent(remove_at(ante, i), succ + (f.left,)),
-            Sequent(replace_formula(ante, i, f.right), succ),
+            Sequent(remove_at(ante, k), succ + (f.left,)),
+            Sequent(replace_formula(ante, k, f.right), succ),
         ]
     if rule is RuleId.LIMPI:
-        (i,) = _one(inst)
-        f = _check_index(ante, i, "antecedent")
         if not isinstance(f, Imp):
             raise ShapeMismatchError("limpi principal must be an implication")
         return [
             Sequent(ante, succ + (f.left,)),
-            Sequent(replace_formula(ante, i, f.right), succ),
+            Sequent(replace_formula(ante, k, f.right), succ),
         ]
     if rule is RuleId.RIMP:
-        (j,) = _one(inst)
-        f = _check_index(succ, j, "succedent")
         if not isinstance(f, Imp):
             raise ShapeMismatchError("rimp principal must be an implication")
-        return [Sequent(ante + (f.left,), replace_formula(succ, j, f.right))]
+        return [Sequent(ante + (f.left,), replace_formula(succ, k, f.right))]
     if rule is RuleId.RIMPI:
-        (j,) = _one(inst)
-        f = _check_index(succ, j, "succedent")
         if not isinstance(f, Imp):
             raise ShapeMismatchError("rimpi principal must be an implication")
         return [Sequent(ante + (f.left,), (f.right,))]
     if rule is RuleId.LFORALL:
-        (i,) = _one(inst)
-        f = _check_index(ante, i, "antecedent")
         if not isinstance(f, Forall) or inst.witness is None:
             raise ShapeMismatchError("lforall needs a universal principal and a witness term")
-        return [Sequent(replace_formula(ante, i, substitute(f.body, f.var, inst.witness), f), succ)]
+        return [Sequent(replace_formula(ante, k, substitute(f.body, f.var, inst.witness), f), succ)]
     if rule is RuleId.REXISTS:
-        (j,) = _one(inst)
-        f = _check_index(succ, j, "succedent")
         if not isinstance(f, Exists) or inst.witness is None:
             raise ShapeMismatchError("rexists needs an existential principal and a witness term")
-        return [Sequent(ante, replace_formula(succ, j, f, substitute(f.body, f.var, inst.witness)))]
+        return [Sequent(ante, replace_formula(succ, k, f, substitute(f.body, f.var, inst.witness)))]
     if rule in (RuleId.RFORALL, RuleId.RFORALLI):
-        (j,) = _one(inst)
-        f = _check_index(succ, j, "succedent")
         if not isinstance(f, Forall) or inst.eigen is None:
             raise ShapeMismatchError("rforall needs a universal principal and an eigenparameter")
         _check_eigen(inst.eigen, conclusion)
         inst_body = substitute(f.body, f.var, Param(inst.eigen))
         if rule is RuleId.RFORALL:
-            return [Sequent(ante, replace_formula(succ, j, inst_body))]
+            return [Sequent(ante, replace_formula(succ, k, inst_body))]
         return [Sequent(ante, (inst_body,))]
     if rule is RuleId.LEXISTS:
-        (i,) = _one(inst)
-        f = _check_index(ante, i, "antecedent")
         if not isinstance(f, Exists) or inst.eigen is None:
             raise ShapeMismatchError("lexists needs an existential principal and an eigenparameter")
         _check_eigen(inst.eigen, conclusion)
-        return [Sequent(replace_formula(ante, i, substitute(f.body, f.var, Param(inst.eigen))), succ)]
+        return [Sequent(replace_formula(ante, k, substitute(f.body, f.var, Param(inst.eigen))), succ)]
 
     # -- structural rules
     if rule is RuleId.LW:
-        (i,) = _one(inst)
-        _check_index(ante, i, "antecedent")
-        return [Sequent(remove_at(ante, i), succ)]
+        return [Sequent(remove_at(ante, k), succ)]
     if rule is RuleId.RW:
-        (j,) = _one(inst)
-        _check_index(succ, j, "succedent")
-        return [Sequent(ante, remove_at(succ, j))]
+        return [Sequent(ante, remove_at(succ, k))]
     if rule in (RuleId.LC, RuleId.LCEQ):
-        (i,) = _one(inst)
-        f = _check_index(ante, i, "antecedent")
         if rule is RuleId.LCEQ and not isinstance(f, Eq):
             raise ShapeMismatchError("lceq contracts equalities only")
-        return [Sequent(replace_formula(ante, i, f, f), succ)]
+        return [Sequent(replace_formula(ante, k, f, f), succ)]
     if rule is RuleId.RC:
-        (j,) = _one(inst)
-        f = _check_index(succ, j, "succedent")
-        return [Sequent(ante, replace_formula(succ, j, f, f))]
+        return [Sequent(ante, replace_formula(succ, k, f, f))]
     if rule is RuleId.CUT:
         if inst.cut_formula is None or inst.split is None:
             raise ShapeMismatchError("cut needs a cut formula and a context split")
         a1, s1 = _check_split(conclusion, inst.split)
-        left_ante = tuple(ante[k] for k in a1)
-        left_succ = tuple(succ[k] for k in s1)
-        right_ante = tuple(ante[k] for k in range(len(ante)) if k not in set(a1))
-        right_succ = tuple(succ[k] for k in range(len(succ)) if k not in set(s1))
+        left_ante = tuple(ante[n] for n in a1)
+        left_succ = tuple(succ[n] for n in s1)
+        right_ante = tuple(ante[n] for n in range(len(ante)) if n not in set(a1))
+        right_succ = tuple(succ[n] for n in range(len(succ)) if n not in set(s1))
         return [
             Sequent(left_ante, left_succ + (inst.cut_formula,)),
             Sequent((inst.cut_formula,) + right_ante, right_succ),
@@ -544,60 +589,40 @@ def premisses_of(conclusion: Sequent, inst: RuleInstance, spec: CalculusSpec) ->
             raise ShapeMismatchError("refl needs the identity's term")
         return [Sequent((Eq(inst.witness, inst.witness),) + ante, succ)]
     if rule is RuleId.SYMM:
-        (i,) = _one(inst)
-        f = _check_index(ante, i, "antecedent")
         if not isinstance(f, Eq):
             raise ShapeMismatchError("symm principal must be an equality")
-        return [Sequent(replace_formula(ante, i, Eq(f.rhs, f.lhs)), succ)]
+        return [Sequent(replace_formula(ante, k, Eq(f.rhs, f.lhs)), succ)]
 
     # -- replacement rules
-    if rule in RIGHT_REPLACEMENT:
-        idx, keeps = RIGHT_REPLACEMENT[rule]
+    if sig.index:
         rep = _the_replacement(inst)
         if rep.eq_index is None:
             raise ShapeMismatchError(f"{rule.value} needs an operating equality index")
         op = _check_index(ante, rep.eq_index, "operating equality")
         if not isinstance(op, Eq):
             raise ShapeMismatchError("operating formula must be an equality")
-        ctx = _check_index(succ, rep.context_index, "context formula")
-        if not is_atomic(ctx):
-            raise ShapeMismatchError("context formula must be atomic")
-        concl_term, prem_term = _replacement_terms(idx, op)
-        _check_flags_right(spec, rule, ctx, rep.paths)
-        _check_orientation(spec, idx, op)
-        try:
-            input_formula = replace_at(ctx, set(rep.paths), concl_term, prem_term)
-        except PathError as exc:
-            raise ShapeMismatchError(str(exc)) from exc
-        new_ante = ante if keeps else remove_at(ante, rep.eq_index)
-        return [Sequent(new_ante, replace_formula(succ, rep.context_index, input_formula))]
-
-    if rule in LEFT_REPLACEMENT:
-        idx, retention = LEFT_REPLACEMENT[rule]
-        rep = _the_replacement(inst)
-        if rep.eq_index is None:
-            raise ShapeMismatchError(f"{rule.value} needs an operating equality index")
-        op = _check_index(ante, rep.eq_index, "operating equality")
-        if not isinstance(op, Eq):
-            raise ShapeMismatchError("operating formula must be an equality")
-        if rep.context_index == rep.eq_index:
+        right = sig.context_side == "s"
+        if not right and rep.context_index == rep.eq_index:
             raise ShapeMismatchError("context formula must be distinct from the operating equality")
-        ctx = _check_index(ante, rep.context_index, "context formula")
+        ctx = _check_index(succ if right else ante, rep.context_index, "context formula")
         if not is_atomic(ctx):
             raise ShapeMismatchError("context formula must be atomic")
-        concl_term, prem_term = _replacement_terms(idx, op)
-        _check_flags_left(spec, ctx, rep.paths)
-        _check_orientation(spec, idx, op)
+        if right:
+            _check_flags_right(spec, rule, ctx, rep.paths)
+        else:
+            _check_flags_left(spec, ctx, rep.paths)
+        _check_orientation(spec, sig.index, op)
         try:
-            input_formula = replace_at(ctx, set(rep.paths), concl_term, prem_term)
+            input_formula = replace_at(ctx, set(rep.paths), *sig.terms(op))
         except PathError as exc:
             raise ShapeMismatchError(str(exc)) from exc
-        keep = retention == "keep" or (retention == "plus" and isinstance(ctx, Eq))
-        if keep:
-            new_ante = ante[: rep.context_index + 1] + (input_formula,) + ante[rep.context_index + 1 :]
-        else:
-            new_ante = replace_formula(ante, rep.context_index, input_formula)
-        return [Sequent(new_ante, succ)]
+        c = rep.context_index
+        if right:
+            new_ante = ante if sig.retention == "keep" else remove_at(ante, rep.eq_index)
+            return [Sequent(new_ante, replace_formula(succ, c, input_formula))]
+        if sig.keeps_context(ctx):
+            return [Sequent(ante[: c + 1] + (input_formula,) + ante[c + 1 :], succ)]
+        return [Sequent(replace_formula(ante, c, input_formula), succ)]
 
     if rule is RuleId.CNG:
         rep = _the_replacement(inst)
@@ -638,16 +663,7 @@ def premisses_of(conclusion: Sequent, inst: RuleInstance, spec: CalculusSpec) ->
     raise RuleNotInCalculusError(f"rule {rule.value} has no premiss computation")
 
 
-def _one(inst: RuleInstance) -> tuple[int]:
-    if len(inst.principal) != 1:
-        raise ShapeMismatchError(f"{inst.rule.value} takes one principal index")
-    return inst.principal  # type: ignore[return-value]
-
-
-def _two(inst: RuleInstance) -> tuple[int, int]:
-    if len(inst.principal) != 2:
-        raise ShapeMismatchError(f"{inst.rule.value} takes two principal indices")
-    return inst.principal  # type: ignore[return-value]
+_PRINCIPAL_COUNT = ("no principal index", "one principal index", "two principal indices")
 
 
 def _the_replacement(inst: RuleInstance) -> Replacement:
@@ -801,6 +817,10 @@ def _collector(goal: Sequent, spec: CalculusSpec, out: list, pool: MovePool | No
     return add
 
 
+# the rules of leaf_expansions
+_LEAVES = frozenset({RuleId.INIT, RuleId.MINBOT, RuleId.REFAX, RuleId.LBOT})
+
+
 def leaf_expansions(goal: Sequent, spec: CalculusSpec) -> list[tuple[RuleInstance, list[Sequent]]]:
     """The zero-premiss prefix of :func:`expansions`: initial sequents and axioms."""
     out: list[tuple[RuleInstance, list[Sequent]]] = []
@@ -858,98 +878,64 @@ def expansions(
     add = _collector(goal, spec, out, pool)
     ante, succ = goal.ante, goal.succ
 
-    one_sided_ante = [
-        RuleId.LAND,
-        RuleId.LOR,
-        RuleId.LIMP,
-        RuleId.LIMPI,
-        RuleId.LW,
-        RuleId.LC,
-        RuleId.LCEQ,
-        RuleId.SYMM,
-    ]
-    one_sided_succ = [RuleId.RAND, RuleId.ROR, RuleId.RIMP, RuleId.RIMPI, RuleId.RW, RuleId.RC]
-    for rule in one_sided_ante:
-        if spec.allows(rule):
-            for i in range(len(ante)):
-                add(RuleInstance(rule, (i,)))
-    for rule in one_sided_succ:
-        if spec.allows(rule):
-            for j in range(len(succ)):
-                add(RuleInstance(rule, (j,)))
-
-    if spec.allows(RuleId.LFORALL):
-        for i in range(len(ante)):
-            for t in terms:
-                add(RuleInstance(RuleId.LFORALL, (i,), witness=t))
-    if spec.allows(RuleId.REXISTS):
-        for j in range(len(succ)):
-            for t in terms:
-                add(RuleInstance(RuleId.REXISTS, (j,), witness=t))
+    # the rules whose instances a principal index and at most a witness or an
+    # eigenparameter fix go through premisses_of
     eigen = fresh_eigen(goal)
-    for rule, n in ((RuleId.RFORALL, len(succ)), (RuleId.RFORALLI, len(succ))):
-        if spec.allows(rule):
-            for j in range(n):
-                add(RuleInstance(rule, (j,), eigen=eigen))
-    if spec.allows(RuleId.LEXISTS):
-        for i in range(len(ante)):
-            add(RuleInstance(RuleId.LEXISTS, (i,), eigen=eigen))
-
-    if spec.allows(RuleId.REFL):
-        for t in terms:
-            add(RuleInstance(RuleId.REFL, witness=t))
+    principals = {"a": [(i,) for i in range(len(ante))], "s": [(j,) for j in range(len(succ))]}
+    for rule, sig in RULES.items():
+        if rule in _LEAVES or len(sig.fields) > 1 or not spec.allows(rule):
+            continue
+        for principal in principals.get(sig.principal, [()]):
+            if sig.fields == ("witness",):
+                for t in terms:
+                    add(RuleInstance(rule, principal, witness=t))
+            elif sig.fields == ("eigen",):
+                add(RuleInstance(rule, principal, eigen=eigen))
+            else:
+                add(RuleInstance(rule, principal))
 
     ante_keys, succ_keys = tuple(map(repr, ante)), tuple(map(repr, succ))
 
     # replacement rules: one premiss, the context formula rewritten in place
     # (or, for retained contexts, the rewritten copy put after it)
-    right_rules = [r for r in (RuleId.REP1R, RuleId.REP2R, RuleId.EQ1, RuleId.EQ2) if spec.allows(r)]
-    left_rules = [
-        r
-        for r in (RuleId.REP1L, RuleId.REP2L, RuleId.REP, RuleId.REPP, RuleId.REP1LP, RuleId.REP2LP)
-        if spec.allows(r)
-    ]
+    replacements = [(rule, sig) for rule, sig in RULES.items() if sig.index and spec.allows(rule)]
     for e, op in enumerate(ante):
         if not isinstance(op, Eq):
             continue
-        for rule in right_rules:
-            idx, keeps = RIGHT_REPLACEMENT[rule]
-            if not _passes(_check_orientation, spec, idx, op):
+        for rule, sig in replacements:
+            if not _passes(_check_orientation, spec, sig.index, op):
                 continue
-            if keeps:
-                new_ante, new_ante_keys = ante, ante_keys
+            if sig.context_side == "s":
+                if sig.retention == "keep":
+                    new_ante, new_ante_keys = ante, ante_keys
+                else:
+                    new_ante, new_ante_keys = remove_at(ante, e), remove_at(ante_keys, e)
+                for j, ctx in enumerate(succ):
+                    if not is_atomic(ctx):
+                        continue
+                    for paths, new, new_key in pool.rewrites(ctx, *sig.terms(op)):
+                        if _passes(_check_flags_right, spec, rule, ctx, paths):
+                            premiss = pool.sequent(
+                                new_ante,
+                                new_ante_keys,
+                                replace_formula(succ, j, new),
+                                replace_formula(succ_keys, j, new_key),
+                            )
+                            out.append((repl_inst(rule, e, j, paths), [premiss]))
             else:
-                new_ante, new_ante_keys = remove_at(ante, e), remove_at(ante_keys, e)
-            for j, ctx in enumerate(succ):
-                if not is_atomic(ctx):
-                    continue
-                for paths, new, new_key in pool.rewrites(ctx, *_replacement_terms(idx, op)):
-                    if _passes(_check_flags_right, spec, rule, ctx, paths):
-                        premiss = pool.sequent(
-                            new_ante,
-                            new_ante_keys,
-                            replace_formula(succ, j, new),
-                            replace_formula(succ_keys, j, new_key),
-                        )
-                        out.append((repl_inst(rule, e, j, paths), [premiss]))
-        for rule in left_rules:
-            idx, retention = LEFT_REPLACEMENT[rule]
-            if not _passes(_check_orientation, spec, idx, op):
-                continue
-            for i, ctx in enumerate(ante):
-                if i == e or not is_atomic(ctx):
-                    continue
-                keep = retention == "keep" or (retention == "plus" and isinstance(ctx, Eq))
-                at = i + 1 if keep else i
-                for paths, new, new_key in pool.rewrites(ctx, *_replacement_terms(idx, op)):
-                    if _passes(_check_flags_left, spec, ctx, paths):
-                        premiss = pool.sequent(
-                            ante[:at] + (new,) + ante[i + 1 :],
-                            ante_keys[:at] + (new_key,) + ante_keys[i + 1 :],
-                            succ,
-                            succ_keys,
-                        )
-                        out.append((repl_inst(rule, e, i, paths), [premiss]))
+                for i, ctx in enumerate(ante):
+                    if i == e or not is_atomic(ctx):
+                        continue
+                    at = i + 1 if sig.keeps_context(ctx) else i
+                    for paths, new, new_key in pool.rewrites(ctx, *sig.terms(op)):
+                        if _passes(_check_flags_left, spec, ctx, paths):
+                            premiss = pool.sequent(
+                                ante[:at] + (new,) + ante[i + 1 :],
+                                ante_keys[:at] + (new_key,) + ante_keys[i + 1 :],
+                                succ,
+                                succ_keys,
+                            )
+                            out.append((repl_inst(rule, e, i, paths), [premiss]))
 
     # cng: the chosen context proves r=s, the rest has the context formula
     # rewritten in its place
@@ -968,7 +954,7 @@ def expansions(
                     (s1, chosen, chosen_keys, rest[:at], rest_keys[:at], rest[at + 1 :], rest_keys[at + 1 :])
                 )
             ctx_terms = sorted(
-                {t for s in _top_subterms(ctx) for t in subterms(s)},
+                {t for s in _top_terms(ctx) for t in subterms(s)},
                 key=lambda t: (term_height(t), str(t)),
             )
             for s_term in ctx_terms:
@@ -1024,14 +1010,6 @@ def applicable_instances(goal: Sequent, spec: CalculusSpec, universe) -> list[Ru
     with multiset-equal premisses are collapsed to their first occurrence.
     """
     return [inst for inst, _ in expansions(goal, spec, universe)]
-
-
-def _top_subterms(f: Formula) -> tuple[Term, ...]:
-    if isinstance(f, Atom):
-        return f.args
-    if isinstance(f, Eq):
-        return (f.lhs, f.rhs)
-    return ()
 
 
 def _goal_predicates(goal: Sequent) -> set[tuple[str, int]]:

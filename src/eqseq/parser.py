@@ -433,70 +433,33 @@ def print_path(p: Path) -> str:
 # ---------------------------------------------------------------------------
 # Derivation files: (rule [instance-args] "sequent" child*)
 
-from .calculus import (  # noqa: E402  (parser is imported lazily from calculus)
-    LEFT_REPLACEMENT,
-    RIGHT_REPLACEMENT,
-    RULE_BY_NAME,
-    Replacement,
-    RuleId,
-    RuleInstance,
-)
+from .calculus import RULE_BY_NAME, RULES, Replacement, RuleId, RuleInstance  # noqa: E402
 from .checker import Derivation  # noqa: E402
-
-_ONE_PRINCIPAL = {
-    RuleId.REFAX,
-    RuleId.LBOT,
-    RuleId.LAND,
-    RuleId.RAND,
-    RuleId.LOR,
-    RuleId.ROR,
-    RuleId.LIMP,
-    RuleId.RIMP,
-    RuleId.LIMPI,
-    RuleId.RIMPI,
-    RuleId.LW,
-    RuleId.RW,
-    RuleId.LC,
-    RuleId.RC,
-    RuleId.LCEQ,
-    RuleId.SYMM,
-}
-_WITNESS_PRINCIPAL = {RuleId.LFORALL, RuleId.REXISTS}
-_EIGEN_PRINCIPAL = {RuleId.RFORALL, RuleId.RFORALLI, RuleId.LEXISTS}
-_REPLACEMENT = set(RIGHT_REPLACEMENT) | set(LEFT_REPLACEMENT)
 
 
 def _csv(indices) -> str:
     return ",".join(str(i) for i in indices)
 
 
-def _paths_csv(paths) -> str:
-    return ",".join(print_path(p) for p in paths)
-
-
 def format_instance_args(inst: RuleInstance) -> str:
-    r = inst.rule
-    if r in (RuleId.INIT, RuleId.MINBOT):
-        return f"{inst.principal[0]};{inst.principal[1]}"
-    if r in _ONE_PRINCIPAL:
-        return str(inst.principal[0])
-    if r in _WITNESS_PRINCIPAL:
-        return f"{inst.principal[0]};{inst.witness}"
-    if r in _EIGEN_PRINCIPAL:
-        return f"{inst.principal[0]};{inst.eigen}"
-    if r is RuleId.REFL:
-        return str(inst.witness)
-    if r is RuleId.CUT:
-        a1, s1 = inst.split or ((), ())
-        return f'{_csv(a1)};{_csv(s1)};"{print_formula(inst.cut_formula)}"'
-    if r is RuleId.CNG:
-        rep = inst.replacement
-        a1, s1 = inst.split or ((), ())
-        return f'{_csv(a1)};{_csv(s1)};{rep.context_index};{_paths_csv(rep.paths)};"{inst.witness}"'
-    if r in _REPLACEMENT:
-        rep = inst.replacement
-        return f"{rep.eq_index};{rep.context_index};{_paths_csv(rep.paths)}"
-    raise EqSeqError(f"no argument syntax for rule {r.value}")
+    """The principal indices of ``inst`` and then the fields of its rule's
+    signature (:data:`eqseq.calculus.RULES`), separated by ``;``."""
+    parts = [str(i) for i in inst.principal]
+    for field in RULES[inst.rule].fields:
+        if field == "split":
+            a1, s1 = inst.split or ((), ())
+            parts += [_csv(a1), _csv(s1)]
+        elif field == "cut_formula":
+            parts.append(f'"{print_formula(inst.cut_formula)}"')
+        elif field == "quoted_witness":
+            parts.append(f'"{inst.witness}"')
+        elif field == "paths":
+            parts.append(",".join(print_path(p) for p in inst.replacement.paths))
+        elif field in ("eq_index", "context_index"):
+            parts.append(str(getattr(inst.replacement, field)))
+        else:  # witness, eigen
+            parts.append(str(getattr(inst, field)))
+    return ";".join(parts)
 
 
 def print_derivation(d: Derivation) -> str:
@@ -565,64 +528,58 @@ class _DerivationParser(_Parser):
             raise ParseError(f"expected a name, found {tok.text!r}", tok.span)
         return tok.text
 
+    def _quoted(self) -> _Parser:
+        """A parser over the next quoted string, sharing this one's arities."""
+        text, _span = self._string()
+        return self._sub(text)
+
     def instance_args(self, rule: RuleId, span: SourceSpan) -> RuleInstance:
+        """The ``[...]`` arguments in the order :func:`format_instance_args`
+        prints them."""
+        sig = RULES[rule]
         self.expect("[")
-        if rule in (RuleId.INIT, RuleId.MINBOT):
-            i = self._int()
-            self.expect(";")
-            j = self._int()
-            inst = RuleInstance(rule, (i, j))
-        elif rule in _ONE_PRINCIPAL:
-            inst = RuleInstance(rule, (self._int(),))
-        elif rule in _WITNESS_PRINCIPAL:
-            i = self._int()
-            self.expect(";")
-            inst = RuleInstance(rule, (i,), witness=self.term(frozenset()))
-        elif rule in _EIGEN_PRINCIPAL:
-            i = self._int()
-            self.expect(";")
-            inst = RuleInstance(rule, (i,), eigen=self._name())
-        elif rule is RuleId.REFL:
-            inst = RuleInstance(rule, witness=self.term(frozenset()))
-        elif rule is RuleId.CUT:
-            a1 = self._index_csv()
-            self.expect(";")
-            s1 = self._index_csv()
-            self.expect(";")
-            text, fspan = self._string()
-            sub = self._sub(text)
-            formula = _rename_binders_apart(sub.formula())
-            sub.require_done()
-            inst = RuleInstance(rule, cut_formula=formula, split=(a1, s1))
-        elif rule is RuleId.CNG:
-            a1 = self._index_csv()
-            self.expect(";")
-            s1 = self._index_csv()
-            self.expect(";")
-            ctx = self._int()
-            self.expect(";")
-            paths = self._paths_csv()
-            self.expect(";")
-            text, _tspan = self._string()
-            sub = self._sub(text)
-            term = sub.term(frozenset())
-            sub.require_done()
-            inst = RuleInstance(
-                rule, replacement=Replacement(None, ctx, paths), witness=term, split=(a1, s1)
-            )
-        elif rule in _REPLACEMENT:
-            e = self._int()
-            self.expect(";")
-            ctx = self._int()
-            self.expect(";")
-            paths = self._paths_csv()
-            if not paths:
-                raise ParseError("malformed instance args: empty path list", span)
-            inst = RuleInstance(rule, replacement=Replacement(e, ctx, paths))
-        else:
-            raise ParseError(f"no argument syntax for rule {rule.value}", span)
+        principal: list[int] = []
+        got: dict = {}
+        for k, field in enumerate(("principal",) * len(sig.principal) + sig.fields):
+            if k:
+                self.expect(";")
+            if field == "principal":
+                principal.append(self._int())
+            elif field == "split":
+                a1 = self._index_csv()
+                self.expect(";")
+                got[field] = (a1, self._index_csv())
+            elif field == "cut_formula":
+                sub = self._quoted()
+                got[field] = _rename_binders_apart(sub.formula())
+                sub.require_done()
+            elif field == "quoted_witness":
+                sub = self._quoted()
+                got["witness"] = sub.term(frozenset())
+                sub.require_done()
+            elif field == "witness":
+                got[field] = self.term(frozenset())
+            elif field == "eigen":
+                got[field] = self._name()
+            elif field == "paths":
+                got[field] = self._paths_csv()
+            else:  # eq_index, context_index
+                got[field] = self._int()
+        if sig.index and not got["paths"]:
+            raise ParseError("malformed instance args: empty path list", span)
         self.expect("]")
-        return inst
+        replacement = None
+        if "paths" in got:
+            replacement = Replacement(got.get("eq_index"), got["context_index"], got["paths"])
+        return RuleInstance(
+            rule,
+            tuple(principal),
+            replacement,
+            got.get("witness"),
+            got.get("eigen"),
+            got.get("cut_formula"),
+            got.get("split"),
+        )
 
     def node(self) -> Derivation:
         self.expect("(")

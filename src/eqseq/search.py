@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 from .calculus import (
     CalculusSpec,
-    LEFT_REPLACEMENT,
     MovePool,
-    RIGHT_REPLACEMENT,
+    RULES,
     RuleId,
     RuleInstance,
     _nonempty_nonoverlapping_subsets,
+    _sorted_universe,
     expansions,
     leaf,
     leaf_expansions,
@@ -138,21 +138,24 @@ def default_universe(goal: Sequent, height_bound: int) -> frozenset[Term]:
     """Subterms of the goal plus their closure under the goal's function
     symbols, up to the given term height."""
     base = sequent_terms(goal)
-    funcs: dict[str, int] = {}
-    for t in base:
-        if isinstance(t, FunApp):
-            funcs[t.sym] = len(t.args)
+    funcs = {t.sym: len(t.args) for t in base if isinstance(t, FunApp)}
     base = {t for t in base if term_height(t) <= height_bound}
+    return frozenset(_close_under(base, funcs.items(), height_bound))
+
+
+def _close_under(base: set[Term], funcs, height_bound: int) -> set[Term]:
+    """``base``, grown in place by every application of the ``(symbol,
+    arity)`` pairs ``funcs`` up to the given term height."""
     grown = True
     while grown:
         grown = False
-        for sym, arity in funcs.items():
+        for sym, arity in funcs:
             for args in itertools.product(sorted(base, key=str), repeat=arity):
                 t = FunApp(sym, tuple(args))
                 if term_height(t) <= height_bound and t not in base:
                     base.add(t)
                     grown = True
-    return frozenset(base)
+    return base
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +395,7 @@ def bounded_search(
 
 def _forward_right_rewrites(seq: Sequent, rule: RuleId) -> list[Sequent]:
     """Conclusions of one succedent replacement step applied to ``seq``."""
-    idx, keeps = RIGHT_REPLACEMENT[rule]
+    idx, keeps = RULES[rule].index, RULES[rule].retention == "keep"
     out: list[Sequent] = []
     for e_i, op in enumerate(seq.ante):
         if not isinstance(op, Eq):
@@ -427,7 +430,7 @@ def _forward_eq_intro(seq: Sequent, rule: RuleId, atom_pool: list[Formula]) -> l
 
 
 def _forward_left_rewrites(seq: Sequent, rule: RuleId) -> list[Sequent]:
-    idx, retention = LEFT_REPLACEMENT[rule]
+    idx, retention = RULES[rule].index, RULES[rule].retention
     out: list[Sequent] = []
     for e_i, op in enumerate(seq.ante):
         if not isinstance(op, Eq):
@@ -574,17 +577,7 @@ class Signature:
         )
 
     def universe(self, height_bound: int) -> list[Term]:
-        base: set[Term] = {Param(p) for p in self.params}
-        grown = True
-        while grown:
-            grown = False
-            for sym, arity in self.funcs:
-                for args in itertools.product(sorted(base, key=str), repeat=arity):
-                    t = FunApp(sym, tuple(args))
-                    if term_height(t) <= height_bound and t not in base:
-                        base.add(t)
-                        grown = True
-        return sorted(base, key=lambda t: (term_height(t), str(t)))
+        return _sorted_universe(_close_under({Param(p) for p in self.params}, self.funcs, height_bound))
 
     def atom_pool(self, height_bound: int) -> list[Formula]:
         terms = self.universe(height_bound)

@@ -404,24 +404,20 @@ def term_at(f: Formula, path: Path) -> Term:
     return t
 
 
-def _replace_in_term(t: Term, rel: Path, to: Term) -> Term:
+def replace_in_term(t: Term, rel: Path, to: Term) -> Term:
+    """Replace the subterm of ``t`` at the (term-relative) path by ``to``."""
     if not rel:
         return to
     if not isinstance(t, FunApp) or rel[0] >= len(t.args):
         raise PathError(f"path component {rel} does not resolve in {t}")
     args = list(t.args)
-    args[rel[0]] = _replace_in_term(args[rel[0]], rel[1:], to)
+    args[rel[0]] = replace_in_term(args[rel[0]], rel[1:], to)
     return FunApp(t.sym, tuple(args))
 
 
 def paths_overlap(a: Path, b: Path) -> bool:
     n = min(len(a), len(b))
     return a[:n] == b[:n]
-
-
-def replace_in_term(t: Term, rel: Path, to: Term) -> Term:
-    """Replace the subterm of ``t`` at the (term-relative) path by ``to``."""
-    return _replace_in_term(t, rel, to)
 
 
 def replace_at(f: Formula, paths: frozenset[Path] | set[Path], frm: Term, to: Term) -> Formula:
@@ -442,7 +438,7 @@ def replace_at(f: Formula, paths: frozenset[Path] | set[Path], frm: Term, to: Te
             raise PathError(f"path-mismatch: {p} holds {term_at(f, p)}, not {frm}")
     tops = list(_top_terms(f))
     for p in ps:
-        tops[p[0]] = _replace_in_term(tops[p[0]], p[1:], to)
+        tops[p[0]] = replace_in_term(tops[p[0]], p[1:], to)
     if isinstance(f, Atom):
         return Atom(f.pred, tuple(tops))
     return Eq(tops[0], tops[1])
@@ -488,10 +484,6 @@ class Sequent:
 
     def all_formulas(self) -> tuple[Formula, ...]:
         return self.ante + self.succ
-
-
-def sequent(ante, succ) -> Sequent:
-    return Sequent(tuple(ante), tuple(succ))
 
 
 @dataclass(frozen=True)

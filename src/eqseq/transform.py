@@ -16,10 +16,9 @@ from .calculus import (
     CalculusError,
     CalculusSpec,
     Flag,
-    LEFT_REPLACEMENT,
     PRESETS,
     Precedence,
-    RIGHT_REPLACEMENT,
+    RULES,
     Replacement,
     RuleId,
     RuleInstance,
@@ -44,6 +43,7 @@ from .syntax import (
     rename_param_in_term,
     replace_at,
     replace_formula,
+    replace_in_term,
     term_at,
 )
 
@@ -101,47 +101,15 @@ def make_report(input_d: Derivation, output_d: Derivation, target: CalculusSpec,
 # indices, so they first renormalize their input: afterwards every child's
 # sequent tuple is exactly the premiss tuple computed by premisses_of.
 
-_PRINCIPAL_SIDES: dict[RuleId, str] = {
-    RuleId.INIT: "as",
-    RuleId.MINBOT: "as",
-    RuleId.REFAX: "s",
-    RuleId.LBOT: "a",
-    RuleId.LAND: "a",
-    RuleId.LOR: "a",
-    RuleId.LIMP: "a",
-    RuleId.LIMPI: "a",
-    RuleId.LFORALL: "a",
-    RuleId.LEXISTS: "a",
-    RuleId.LW: "a",
-    RuleId.LC: "a",
-    RuleId.LCEQ: "a",
-    RuleId.SYMM: "a",
-    RuleId.RAND: "s",
-    RuleId.ROR: "s",
-    RuleId.RIMP: "s",
-    RuleId.RIMPI: "s",
-    RuleId.RFORALL: "s",
-    RuleId.RFORALLI: "s",
-    RuleId.REXISTS: "s",
-    RuleId.RW: "s",
-    RuleId.RC: "s",
-}
-
-
 def _remap_instance(inst: RuleInstance, amap: dict[int, int], smap: dict[int, int]) -> RuleInstance:
-    def m(side: str, i: int) -> int:
-        return amap[i] if side == "a" else smap[i]
-
-    principal = inst.principal
-    sides = _PRINCIPAL_SIDES.get(inst.rule, "")
-    if principal and sides:
-        principal = tuple(m(s, i) for s, i in zip(sides, principal))
+    maps = {"a": amap, "s": smap}
+    sig = RULES[inst.rule]
+    principal = tuple(maps[side][i] for side, i in zip(sig.principal, inst.principal))
     replacement = inst.replacement
     if replacement is not None:
-        ctx_side = "s" if (inst.rule in RIGHT_REPLACEMENT or inst.rule is RuleId.CNG) else "a"
         replacement = Replacement(
             None if replacement.eq_index is None else amap[replacement.eq_index],
-            m(ctx_side, replacement.context_index),
+            maps[sig.context_side][replacement.context_index],
             replacement.paths,
         )
     split = inst.split
@@ -276,8 +244,7 @@ def weaken_hp_many(d: Derivation, ante, succ, spec: CalculusSpec) -> Derivation:
 # Succedent projection (hp-admissibility of RC)
 
 _PROJECTABLE = (
-    frozenset(RIGHT_REPLACEMENT)
-    | frozenset(LEFT_REPLACEMENT)
+    frozenset(rule for rule, sig in RULES.items() if sig.index)
     | {
         RuleId.REFAX,
         RuleId.REFL,
@@ -326,7 +293,8 @@ def _proj(d: Derivation, spec: CalculusSpec) -> tuple[Formula, Derivation]:
     if rule in (RuleId.RW, RuleId.RC):
         return _proj(d.children[0], spec)
 
-    if rule in (RuleId.REFL, RuleId.SYMM, RuleId.LW, RuleId.LC, RuleId.LCEQ) or rule in LEFT_REPLACEMENT:
+    sig = RULES[rule]
+    if rule in (RuleId.REFL, RuleId.SYMM, RuleId.LW, RuleId.LC, RuleId.LCEQ) or sig.context_side == "a":
         a, sub = _proj(d.children[0], spec)
         new_seq = Sequent(seq.ante, (a,))
         want = premisses_of(new_seq, inst, spec)[0]
@@ -334,7 +302,7 @@ def _proj(d: Derivation, spec: CalculusSpec) -> tuple[Formula, Derivation]:
             raise TransformError("projection lost the principal trail on an antecedent rule")
         return a, Derivation(new_seq, inst, (sub,))
 
-    if rule in RIGHT_REPLACEMENT:
+    if sig.index and sig.context_side == "s":
         rep = inst.replacement
         input_formula = premisses_of(seq, inst, spec)[0].succ[rep.context_index]
         b, sub = _proj(d.children[0], spec)
@@ -386,7 +354,6 @@ def _proj(d: Derivation, spec: CalculusSpec) -> tuple[Formula, Derivation]:
 # equivalence result works over).  The small blocks below compose; they bottom
 # out in native target rules only.
 
-_RIGHT_EQ_RULES = (RuleId.REP1R, RuleId.REP2R, RuleId.EQ1, RuleId.EQ2)
 _LEFT_EQ_RULES = (RuleId.REP2L, RuleId.REP1L, RuleId.REP, RuleId.REPP, RuleId.REP2LP, RuleId.REP1LP)
 
 
@@ -485,8 +452,8 @@ def _symm_step_left(child: Derivation, i: int, rule: RuleId, tools: CalculusSpec
     e = seq.ante[i]
     l, r = e.lhs, e.rhs
     flipped = Eq(r, l)
-    idx, retention = LEFT_REPLACEMENT[rule]
-    strict = retention == "strict"  # plus-rules keep equality contexts, like keep
+    idx = RULES[rule].index
+    strict = RULES[rule].retention == "strict"  # plus-rules keep equality contexts, like keep
     if strict:
         # e, t=t, Γ |- Δ  =>  e, flipped, Γ |- Δ  =>  t'=t', flipped, Γ |- Δ  => drop
         # index 1 works on l=l (forward l->r on its lhs), index 2 on r=r.
@@ -545,9 +512,7 @@ def _emit_right_step(
     equality; the simulation then weakens it in first.
     """
     e = concl.ante[ei]
-    concl_term = e.rhs if idx == 1 else e.lhs
-    prem_term = e.lhs if idx == 1 else e.rhs
-    inp = replace_at(concl.succ[j], set(paths), concl_term, prem_term)
+    inp = replace_at(concl.succ[j], set(paths), *RULES[_right_rule(idx)].terms(e))
     if not keeps:
         want = Sequent(remove_at(concl.ante, ei), replace_formula(concl.succ, j, inp))
         child = _reorder_root(child, want)
@@ -599,9 +564,7 @@ def _emit_right_step(
 
 def _right_step_via_cng(child, concl, idx, ei, j, paths, tools) -> Derivation:
     e = concl.ante[ei]
-    out = concl.succ[j]
-    concl_term = e.rhs if idx == 1 else e.lhs
-    prem_term = e.lhs if idx == 1 else e.rhs
+    prem_term = RULES[_right_rule(idx)].terms(e)[1]
     # premiss 1 proves  e |- prem_term = concl_term
     if idx == 1:
         p1 = node(Sequent((e,), (e,)), leaf(RuleId.INIT, 0, 0))
@@ -624,18 +587,15 @@ def _right_step_via_left(child, concl, idx, ei, j, paths, rule, tools) -> Deriva
     """Cut against a bridge  e, P[in] |- P[out]  built from a left rule."""
     e = concl.ante[ei]
     out = concl.succ[j]
-    concl_term = e.rhs if idx == 1 else e.lhs
-    prem_term = e.lhs if idx == 1 else e.rhs
-    inp = replace_at(out, set(paths), concl_term, prem_term)
-    lidx, retention = LEFT_REPLACEMENT[rule]
+    inp = replace_at(out, set(paths), *RULES[_right_rule(idx)].terms(e))
+    lidx = RULES[rule].index
     # build the bridge: op, inp |- out  where op is e, flipped if needed so the
     # available left index rewrites inp back to out
     need_flip = lidx == idx  # same index means wrong backward direction here
     op = Eq(e.rhs, e.lhs) if need_flip else e
     bridge_concl = Sequent((op, inp), (out,))
     bterm_concl = op.rhs if lidx == 1 else op.lhs  # term the left rule sees in its context
-    keep = retention == "keep" or (retention == "plus" and isinstance(inp, Eq))
-    if keep:
+    if RULES[rule].keeps_context(inp):
         prem_ante = (op, inp, out)
         init = node(Sequent(prem_ante, (out,)), leaf(RuleId.INIT, 2, 0))
     else:
@@ -658,11 +618,6 @@ def _right_step_via_left(child, concl, idx, ei, j, paths, rule, tools) -> Deriva
     return _reorder_root(node(Sequent(child.sequent.ante, concl.succ), RuleInstance(lc, (ei,)), stepped), concl)
 
 
-def _strictish(rule: RuleId, ctx: Formula) -> bool:
-    retention = LEFT_REPLACEMENT[rule][1]
-    return retention == "strict" or (retention == "plus" and not isinstance(ctx, Eq))
-
-
 def _emit_left_step(
     child: Derivation,
     concl: Sequent,
@@ -678,9 +633,7 @@ def _emit_left_step(
     strict (``keeps=False``) or with the context formula retained."""
     e = concl.ante[ei]
     out = concl.ante[i]
-    concl_term = e.rhs if lidx == 1 else e.lhs
-    prem_term = e.lhs if lidx == 1 else e.rhs
-    inp = replace_at(out, set(paths), concl_term, prem_term)
+    inp = replace_at(out, set(paths), *RULES[_plus_rule(lidx)].terms(e))
     prem_strict = Sequent(replace_formula(concl.ante, i, inp), concl.succ)
     prem_keep = Sequent(concl.ante[: i + 1] + (inp,) + concl.ante[i + 1 :], concl.succ)
     child = _reorder_root(child, prem_keep if keeps else prem_strict)
@@ -693,7 +646,7 @@ def _emit_left_step(
         if flip:
             sub = _symm_step(sub, ei_prem, tools)
             target = Sequent(replace_formula(concl.ante, ei, Eq(e.rhs, e.lhs)), concl.succ)
-        rule_keeps = not _strictish(rule, out)
+        rule_keeps = RULES[rule].keeps_context(out)
         if keeps == rule_keeps:
             stepped = node(target, repl_inst(rule, ei, i, paths), sub)
         elif keeps and not rule_keeps:
@@ -722,7 +675,7 @@ def _emit_left_step(
 
     # 1) a left rule of the matching backward direction (same index, no flip)
     for rule in _LEFT_EQ_RULES:
-        if rule in tools.rules and LEFT_REPLACEMENT[rule][0] == lidx:
+        if rule in tools.rules and RULES[rule].index == lidx:
             try:
                 out_d = attempt_left(rule, flip=False)
                 if _fragment_ok(out_d, tools):
@@ -731,7 +684,7 @@ def _emit_left_step(
                 pass
     # 2) the other index with the operating equality flipped around it
     for rule in _LEFT_EQ_RULES:
-        if rule in tools.rules and LEFT_REPLACEMENT[rule][0] != lidx:
+        if rule in tools.rules and RULES[rule].index != lidx:
             try:
                 out_d = attempt_left(rule, flip=True)
                 if _fragment_ok(out_d, tools):
@@ -816,23 +769,22 @@ def _translate(d: Derivation, frm: CalculusSpec, tools: CalculusSpec) -> Derivat
     if rule is RuleId.RW:
         (j,) = inst.principal
         return _reorder_root(weaken_hp(children[0], seq.succ[j], "succ", tools), seq)
-    if rule in RIGHT_REPLACEMENT:
-        idx, keeps = RIGHT_REPLACEMENT[rule]
+    sig = RULES[rule]
+    if sig.index and sig.context_side == "s":
         rep = inst.replacement
+        keeps = sig.retention == "keep"
         return _reorder_root(
             _emit_right_step(
-                children[0], seq, idx, rep.eq_index, rep.context_index, rep.paths, tools, keeps
+                children[0], seq, sig.index, rep.eq_index, rep.context_index, rep.paths, tools, keeps
             ),
             seq,
         )
-    if rule in LEFT_REPLACEMENT:
-        lidx, retention = LEFT_REPLACEMENT[rule]
+    if sig.index:
         rep = inst.replacement
-        ctx = seq.ante[rep.context_index]
-        keeps = retention == "keep" or (retention == "plus" and isinstance(ctx, Eq))
+        keeps = sig.keeps_context(seq.ante[rep.context_index])
         return _reorder_root(
             _emit_left_step(
-                children[0], seq, lidx, rep.eq_index, rep.context_index, rep.paths, keeps, tools
+                children[0], seq, sig.index, rep.eq_index, rep.context_index, rep.paths, keeps, tools
             ),
             seq,
         )
@@ -903,8 +855,8 @@ def cut_eliminate_pipeline(d: Derivation) -> Derivation:
 def _reps_to_cng(d: Derivation) -> Derivation:
     children = tuple(_reps_to_cng(c) for c in d.children)
     if d.inst.rule in (RuleId.REP1R, RuleId.REP2R):
-        idx, _ = RIGHT_REPLACEMENT[d.inst.rule]
         rep = d.inst.replacement
+        idx = RULES[d.inst.rule].index
         return _reorder_root(
             _right_step_via_cng(
                 children[0], d.sequent, idx, rep.eq_index, rep.context_index, rep.paths,
@@ -1125,10 +1077,8 @@ def _cng_step(
             new_inst = repl_inst(inst.rule, rep.eq_index, jj, rep.paths)
             return node(target, new_inst, _reorder_root(sub, prem))
         # the last inference of d0 rewrote the cut equality r=s itself
-        idx, _ = RIGHT_REPLACEMENT[inst.rule]
+        idx = RULES[inst.rule].index
         op2 = d0.sequent.ante[rep.eq_index]
-        concl2 = op2.rhs if idx == 1 else op2.lhs
-        prem2 = op2.lhs if idx == 1 else op2.rhs
         e_prev = child.sequent.succ[j_e]  # the rewritten equality r'=s'
         r_prev, s_prev = e_prev.lhs, e_prev.rhs
         lhs_rel = tuple(p[1:] for p in rep.paths if p[0] == 0)
@@ -1387,14 +1337,14 @@ def _son_go(d: Derivation, spec: CalculusSpec) -> Derivation:
     if (
         rep is None
         or len(rep.paths) <= 1
-        or inst.rule not in (set(RIGHT_REPLACEMENT) | set(LEFT_REPLACEMENT))
+        or not RULES[inst.rule].index
         or inst.rule in (RuleId.EQ1, RuleId.EQ2)
     ):
         return Derivation(d.sequent, inst, children)
     child = children[0]
     seq = d.sequent
-    if inst.rule in (RuleId.REP1R, RuleId.REP2R) or (
-        inst.rule in LEFT_REPLACEMENT and not _keeps_context(inst.rule, seq, rep)
+    if inst.rule in (RuleId.REP1R, RuleId.REP2R) or not RULES[inst.rule].keeps_context(
+        seq.ante[rep.context_index]
     ):
         # in-place rewrites chain directly, one path at a time
         cur_concl = seq
@@ -1411,9 +1361,7 @@ def _son_go(d: Derivation, spec: CalculusSpec) -> Derivation:
     # premiss grows; thread the intermediates into the child first
     ctx = seq.ante[rep.context_index]
     e = seq.ante[rep.eq_index]
-    idx = LEFT_REPLACEMENT[inst.rule][0]
-    concl_term = e.rhs if idx == 1 else e.lhs
-    prem_term = e.lhs if idx == 1 else e.rhs
+    concl_term, prem_term = RULES[inst.rule].terms(e)
     inters: list[Formula] = []
     done: list[Path] = []
     for p in rep.paths[:-1]:
@@ -1439,12 +1387,6 @@ def _son_go(d: Derivation, spec: CalculusSpec) -> Derivation:
     return built
 
 
-def _keeps_context(rule: RuleId, seq: Sequent, rep: Replacement) -> bool:
-    retention = LEFT_REPLACEMENT[rule][1]
-    ctx = seq.ante[rep.context_index]
-    return retention == "keep" or (retention == "plus" and isinstance(ctx, Eq))
-
-
 # ---------------------------------------------------------------------------
 # Eliminating succedent replacements of one index (and semishortening)
 #
@@ -1467,7 +1409,7 @@ def _job_of(nd: Derivation) -> _RightJob:
     rep = nd.inst.replacement
     if len(rep.paths) != 1:
         raise MultiOccurrenceError("multi-occurrence-instance-present")
-    return _RightJob(RIGHT_REPLACEMENT[nd.inst.rule][0], rep.eq_index, rep.context_index, rep.paths[0])
+    return _RightJob(RULES[nd.inst.rule].index, rep.eq_index, rep.context_index, rep.paths[0])
 
 
 def _right_rule(idx: int) -> RuleId:
@@ -1478,17 +1420,12 @@ def _plus_rule(idx: int) -> RuleId:
     return RuleId.REP1LP if idx == 1 else RuleId.REP2LP
 
 
-def _terms_of(idx: int, e: Eq) -> tuple[Term, Term]:
-    """(conclusion-side term, premiss-side term) of a replacement instance."""
-    return (e.rhs, e.lhs) if idx == 1 else (e.lhs, e.rhs)
-
-
 def _push_up(d0: Derivation, job: _RightJob, concl: Sequent, work: CalculusSpec) -> Derivation:
     """Derivation of ``concl`` in the working calculus, given that ``concl``
     follows from ``d0``'s endsequent by the (excluded) succedent replacement
     ``job`` and ``d0`` itself is within the working calculus."""
     e = concl.ante[job.ei]
-    u, v = _terms_of(job.idx, e)  # conclusion-side, premiss-side
+    u, v = RULES[_right_rule(job.idx)].terms(e)  # conclusion-side, premiss-side
     out = concl.succ[job.j]
     inp = replace_at(out, {job.path}, u, v)
     if inp == out:
@@ -1533,9 +1470,9 @@ def _push_up(d0: Derivation, job: _RightJob, concl: Sequent, work: CalculusSpec)
         return d00
     if rule in (RuleId.REP1R, RuleId.REP2R):
         krep = d0.inst.replacement
-        kidx = RIGHT_REPLACEMENT[rule][0]
+        kidx = RULES[rule].index
         e2 = d0.sequent.ante[krep.eq_index]
-        uk, vk = _terms_of(kidx, e2)
+        uk, vk = RULES[rule].terms(e2)
         rho = krep.paths[0]
         if krep.context_index != job.j or (
             not paths_overlap(rho, job.path)
@@ -1552,7 +1489,7 @@ def _push_up(d0: Derivation, job: _RightJob, concl: Sequent, work: CalculusSpec)
         if len(rho) <= len(job.path):
             # K wrote the subterm containing J's occurrence (rho <= path)
             tau = job.path[len(rho):]
-            uk2 = _term_replace(uk, tau, u)
+            uk2 = replace_in_term(uk, tau, u)
             e2p = Eq(uk2, e2.rhs) if kidx == 2 else Eq(e2.lhs, uk2)
             ew = weaken_hp(d00, e2p, "ante", work)
             opi = len(d00.sequent.ante)
@@ -1565,7 +1502,7 @@ def _push_up(d0: Derivation, job: _RightJob, concl: Sequent, work: CalculusSpec)
             return node(concl, repl_inst(lrule, job.ei, krep.eq_index, [(side,) + tau]), kp)
         # J replaces a term containing K's occurrence (path < rho)
         tau = rho[len(job.path):]
-        vp = _term_replace(v, tau, vk)
+        vp = replace_in_term(v, tau, vk)
         ejp = Eq(vp, e.rhs) if job.idx == 1 else Eq(e.lhs, vp)
         ew = weaken_hp(d00, ejp, "ante", work)
         opi = len(d00.sequent.ante)
@@ -1576,9 +1513,9 @@ def _push_up(d0: Derivation, job: _RightJob, concl: Sequent, work: CalculusSpec)
             raise TransformError("overlap case with a shared operating equality")
         return node(concl, repl_inst(_plus_rule(kidx), krep.eq_index, job.ei, [(side,) + tau]), sub)
 
-    if rule in LEFT_REPLACEMENT:
+    if RULES[rule].context_side == "a":
         krep = d0.inst.replacement
-        keeps = _keeps_context(rule, d0.sequent, krep)
+        keeps = RULES[rule].keeps_context(d0.sequent.ante[krep.context_index])
         # the retained-copy insertion shifts later antecedent indices
         ei2 = job.ei + 1 if (keeps and job.ei > krep.context_index) else job.ei
         if not keeps and krep.context_index == job.ei:
@@ -1588,12 +1525,6 @@ def _push_up(d0: Derivation, job: _RightJob, concl: Sequent, work: CalculusSpec)
         return node(concl, d0.inst, sub)
 
     raise TransformError(f"unsupported inference above an excluded step: {rule.value}")
-
-
-def _term_replace(t: Term, rel: Path, to: Term) -> Term:
-    from .syntax import replace_in_term
-
-    return replace_in_term(t, rel, to)
 
 
 def _operating_context_case(job: _RightJob, concl: Sequent, e: Eq, out: Eq) -> Derivation:

@@ -99,10 +99,10 @@ def _forward_right(rng, d: Derivation, rule: RuleId, spec) -> Derivation | None:
 
 
 def _forward_left(rng, d: Derivation, rule: RuleId, spec) -> Derivation | None:
-    from eqseq.calculus import LEFT_REPLACEMENT
+    from eqseq.calculus import RULES
 
     seq = d.sequent
-    lidx, retention = LEFT_REPLACEMENT[rule]
+    lidx, retention = RULES[rule].index, RULES[rule].retention
     eqs = [(i, f) for i, f in enumerate(seq.ante) if isinstance(f, Eq)]
     if not eqs:
         return None

@@ -16,11 +16,11 @@ from eqseq.calculus import (
     RuleId,
     RuleInstance,
     Replacement,
+    ShapeMismatchError,
     _goal_predicates,
     _nonempty_nonoverlapping_subsets,
     _sorted_universe,
     _subsets,
-    _top_subterms,
     applicable_instances,
     expansions,
     leaf,
@@ -31,9 +31,10 @@ from eqseq.calculus import (
     resolve_preset,
     resolve_spec,
 )
+from eqseq.checker import check, node
 from eqseq.parser import parse_sequent, parse_term, print_sequent
 from eqseq.search import default_universe
-from eqseq.syntax import Atom, Eq, Param, occurrences, subterms, term_height
+from eqseq.syntax import Atom, Eq, Param, _top_terms, occurrences, subterms, term_height
 
 R12r = PRESETS["R12r"]
 S1 = PRESETS["S1"]
@@ -74,6 +75,28 @@ def test_rep2lplus_retains_equality_contexts():
     inst2 = repl_inst(RuleId.REP2LP, 0, 1, [(0,)])
     (prem2,) = premisses_of(concl2, inst2, spec)
     assert prem2 == seq("s=r, s=c, r=c |- ")
+
+
+@pytest.mark.parametrize(
+    "rule, atom_premiss, eq_premiss",
+    [
+        ("rep1l", "a=b, P(a) |- Q", "a=b, c=a |- Q"),
+        ("rep2l", "a=b, P(b) |- Q", "a=b, c=b |- Q"),
+        ("repp", "a=b, P(b), P(a) |- Q", "a=b, c=b, c=a |- Q"),
+        ("rep", "a=b, P(a), P(b) |- Q", "a=b, c=a, c=b |- Q"),
+        ("rep1lp", "a=b, P(a) |- Q", "a=b, c=b, c=a |- Q"),
+        ("rep2lp", "a=b, P(b) |- Q", "a=b, c=a, c=b |- Q"),
+    ],
+)
+def test_antecedent_replacement_retention(rule, atom_premiss, eq_premiss):
+    # index 1 rewrites b back to a, index 2 a back to b; a retained context
+    # stays in place with its rewritten copy right after it
+    rule = RuleId(rule)
+    spec = CalculusSpec("none", frozenset({rule}))
+    old = "b" if rule in (RuleId.REP1L, RuleId.REPP, RuleId.REP1LP) else "a"
+    for ctx, path, want in ((f"P({old})", (0,), atom_premiss), (f"c={old}", (1,), eq_premiss)):
+        (prem,) = premisses_of(seq(f"a=b, {ctx} |- Q"), repl_inst(rule, 0, 1, [path]), spec)
+        assert (prem.ante, prem.succ) == (seq(want).ante, seq(want).succ), (rule, ctx)
 
 
 def test_eq_rules_drop_their_operating_equality():
@@ -260,6 +283,33 @@ def test_base_validation():
         Precedence("explicit", frozenset({(Param("a"), Param("b")), (Param("b"), Param("a"))}))
 
 
+def _stray_field_cases():
+    """(preset, goal, instance with a stray field, the same without it, children)"""
+    a, b = Param("a"), Param("b")
+    refl = RuleInstance(RuleId.REFL, (7,), witness=a)
+    ident = node(seq("a = a |- a = a"), leaf(RuleId.INIT, 0, 0))
+    yield "RefRep", "|- a = a", refl, dataclasses.replace(refl, principal=()), [ident]
+    rep2r = RuleInstance(RuleId.REP2R, (0,), replacement=Replacement(0, 0, ((1,),)))
+    ax = node(seq("b = a |- a = a"), leaf(RuleId.REFAX, 0))
+    yield "R12r", "b = a |- a = b", rep2r, dataclasses.replace(rep2r, principal=()), [ax]
+    cut = RuleInstance(RuleId.CUT, (0,), cut_formula=Eq(a, b), split=((0,), ()))
+    init = node(seq("a = b |- a = b"), leaf(RuleId.INIT, 0, 0))
+    yield "EqCut", "a = b |- a = b", cut, dataclasses.replace(cut, principal=()), [init, init]
+    witnessed = RuleInstance(RuleId.INIT, (0, 0), witness=a)
+    yield "R12r", "a = b |- a = b", witnessed, dataclasses.replace(witnessed, witness=None), []
+
+
+@pytest.mark.parametrize(
+    "name, goal, stray, clean, children", list(_stray_field_cases()), ids=["refl", "rep2r", "cut", "init"]
+)
+def test_premisses_of_rejects_fields_the_rule_does_not_take(name, goal, stray, clean, children):
+    spec, goal = PRESETS[name], seq(goal)
+    with pytest.raises(ShapeMismatchError):
+        premisses_of(goal, stray, spec)
+    assert not check(node(goal, stray, *children), spec).valid
+    assert check(node(goal, clean, *children), spec).valid
+
+
 # ---------------------------------------------------------------------------
 # The move generator
 
@@ -319,7 +369,7 @@ def _candidates(goal, spec, universe):
                         yield repl_inst(rule, e, i, paths)
     for j, ctx in enumerate(succ):
         ctx_terms = sorted(
-            {t for s in _top_subterms(ctx) for t in subterms(s)}, key=lambda t: (term_height(t), str(t))
+            {t for s in _top_terms(ctx) for t in subterms(s)}, key=lambda t: (term_height(t), str(t))
         )
         for s_term in ctx_terms:
             for paths in _nonempty_nonoverlapping_subsets(occurrences(ctx, s_term)):

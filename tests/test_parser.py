@@ -13,7 +13,7 @@ from eqseq.parser import (
     print_formula,
     print_sequent,
 )
-from eqseq.calculus import Replacement, RuleId, RuleInstance
+from eqseq.calculus import RULES, Replacement, RuleId, RuleInstance
 from eqseq.checker import Derivation
 from eqseq.syntax import And, Atom, BoundVar, Eq, Forall, FunApp, Imp, Or, Param, Sequent
 
@@ -163,6 +163,7 @@ def test_instance_args_text(inst, args):
 
 def test_instance_args_cover_every_rule():
     assert sorted(inst.rule.value for inst, _ in INSTANCE_ARGS) == sorted(r.value for r in RuleId)
+    assert sorted(r.value for r in RULES) == sorted(r.value for r in RuleId)
 
 
 @pytest.mark.parametrize(
