@@ -237,6 +237,11 @@ class CalculusSpec:
     def allows(self, rule: RuleId) -> bool:
         return rule in self._allowed
 
+    @cached_property
+    def _signatures(self) -> list[tuple[RuleId, "RuleSig"]]:
+        """The allowed rules with their signatures, in move order."""
+        return [(rule, sig) for rule, sig in RULES.items() if rule in self._allowed]
+
     def with_rules(self, *extra: RuleId, without: tuple[RuleId, ...] = ()) -> "CalculusSpec":
         return CalculusSpec(
             self.base,
@@ -882,8 +887,8 @@ def expansions(
     # eigenparameter fix go through premisses_of
     eigen = fresh_eigen(goal)
     principals = {"a": [(i,) for i in range(len(ante))], "s": [(j,) for j in range(len(succ))]}
-    for rule, sig in RULES.items():
-        if rule in _LEAVES or len(sig.fields) > 1 or not spec.allows(rule):
+    for rule, sig in spec._signatures:
+        if rule in _LEAVES or len(sig.fields) > 1:
             continue
         for principal in principals.get(sig.principal, [()]):
             if sig.fields == ("witness",):
@@ -898,7 +903,7 @@ def expansions(
 
     # replacement rules: one premiss, the context formula rewritten in place
     # (or, for retained contexts, the rewritten copy put after it)
-    replacements = [(rule, sig) for rule, sig in RULES.items() if sig.index and spec.allows(rule)]
+    replacements = [(rule, sig) for rule, sig in spec._signatures if sig.index]
     for e, op in enumerate(ante):
         if not isinstance(op, Eq):
             continue
