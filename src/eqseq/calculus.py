@@ -238,7 +238,7 @@ class CalculusSpec:
         return rule in self._allowed
 
     @cached_property
-    def _signatures(self) -> list[tuple[RuleId, "RuleSig"]]:
+    def _signatures(self) -> list[tuple[RuleId, RuleSig]]:
         """The allowed rules with their signatures, in move order."""
         return [(rule, sig) for rule, sig in RULES.items() if rule in self._allowed]
 
