@@ -140,3 +140,23 @@ def test_position_resolves_to_one_occurrence():
     s = Sequent((Eq(a, f(a)),), (Atom("P", (f(f(b)),)),))
     assert Position("ante", 0, (1, 0)).resolve(s) == a
     assert Position("succ", 0, (0, 0)).resolve(s) == f(b)
+
+
+def test_collectors_agree_on_every_connective():
+    # And, Or, Imp, bot and both quantifiers; the only function symbol sits
+    # under a binder, so its term is not closed
+    from eqseq.calculus import _goal_predicates
+    from eqseq.search import sequent_terms
+    from eqseq.syntax import BOT, And, Exists, Imp, Or, formula_has_function_symbols, formula_params
+
+    x, y = BoundVar("x"), BoundVar("y")
+    d, e = Param("d"), Param("e")
+    g = Forall("x", Exists("y", Imp(
+        Or(And(Atom("P", (a,)), Eq(b, c)), Imp(BOT, Atom("Q", (d,)))),
+        Atom("R", (f(x), y, e)),
+    )))
+    assert formula_params(g) == {"a", "b", "c", "d", "e"}
+    assert formula_has_function_symbols(g)
+    assert not formula_has_function_symbols(Imp(Atom("P", (a,)), Eq(b, c)))
+    assert sequent_terms(Sequent((g,), (Eq(a, a),))) == {a, b, c, d, e}
+    assert _goal_predicates(Sequent((g,), ())) == {("P", 1), ("Q", 1), ("R", 3)}

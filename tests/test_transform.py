@@ -476,3 +476,38 @@ def test_translate_equality_rules_to_congruence_system():
     tools2 = PRESETS["EqCutFree"].with_rules(RuleId.CUT, RuleId.LC, RuleId.LW)
     assert check(out2, tools2).valid
     assert out2.sequent == d2.sequent
+
+
+def test_rename_param_reaches_under_same_named_binder():
+    # a parameter is free by construction: a binder of the same name does not
+    # shadow it, and the bound variable itself is left alone
+    from eqseq.calculus import RuleInstance
+    from eqseq.checker import Derivation
+    from eqseq.syntax import Atom, BoundVar, Forall, Param, Sequent
+
+    g = Forall("x", Atom("P", (Param("x"), BoundVar("x"))))
+    d = Derivation(Sequent((g,), ()), RuleInstance(RuleId.LW, (0,)))
+    out = tf._rename_param_deriv(d, "x", "z")
+    assert out.sequent.ante == (Forall("x", Atom("P", (Param("z"), BoundVar("x")))),)
+
+
+def test_weaken_renames_eigenparameter_in_witness_and_cut_formula():
+    spec = PRESETS["G3c"].with_rules(RuleId.CUT)
+    d = parse_derivation(
+        '(rforall [0;_e1] "forall y. P(y) |- forall x. P(x)"\n'
+        '  (cut [0;;"P(_e1)"] "forall y. P(y) |- P(_e1)"\n'
+        '    (lforall [0;_e1] "forall y. P(y) |- P(_e1)"\n'
+        '      (init [0;0] "P(_e1), forall y. P(y) |- P(_e1)"))\n'
+        '    (init [0;0] "P(_e1) |- P(_e1)")))'
+    )
+    assert check(d, spec).valid
+    from eqseq.syntax import Atom, Param
+
+    w = tf.weaken_hp(d, Atom("Q", (Param("_e1"),)), "ante", spec)
+    assert check(w, spec).valid
+    assert w.height == d.height
+    fresh = Param(w.inst.eigen)
+    assert fresh != Param("_e1")
+    cut = w.children[0]
+    assert cut.inst.cut_formula == Atom("P", (fresh,))
+    assert cut.children[0].inst.witness == fresh
