@@ -37,6 +37,7 @@ from .syntax import (
     Sequent,
     Term,
     _top_terms,
+    atomic_parts,
     is_atomic,
     is_identity,
     occurrences,
@@ -1018,20 +1019,12 @@ def applicable_instances(goal: Sequent, spec: CalculusSpec, universe) -> list[Ru
 
 
 def _goal_predicates(goal: Sequent) -> set[tuple[str, int]]:
-    preds: set[tuple[str, int]] = set()
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, Atom):
-            preds.add((f.pred, len(f.args)))
-        elif isinstance(f, (And, Or, Imp)):
-            walk(f.left)
-            walk(f.right)
-        elif isinstance(f, (Forall, Exists)):
-            walk(f.body)
-
-    for f in goal.all_formulas():
-        walk(f)
-    return preds
+    return {
+        (g.pred, len(g.args))
+        for f in goal.all_formulas()
+        for g in atomic_parts(f)
+        if isinstance(g, Atom)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,8 @@ from .syntax import (
     Param,
     Sequent,
     Term,
+    _top_terms,
+    atomic_parts,
     formula_has_function_symbols,
     is_atomic,
     is_identity,
@@ -108,29 +110,10 @@ SearchOutcome = Proved | Exhausted | DecidedUnderivable
 def sequent_terms(goal: Sequent) -> set[Term]:
     """All closed subterm occurrences in the sequent, binders included."""
     base: set[Term] = set()
-
-    def scan_term(t: Term) -> None:
-        for s in subterms(t):
-            if not term_has_bound(s):
-                base.add(s)
-
-    def scan(f: Formula) -> None:
-        from .syntax import And, Exists, Forall, Imp, Or
-
-        if isinstance(f, Atom):
-            for t in f.args:
-                scan_term(t)
-        elif isinstance(f, Eq):
-            scan_term(f.lhs)
-            scan_term(f.rhs)
-        elif isinstance(f, (And, Or, Imp)):
-            scan(f.left)
-            scan(f.right)
-        elif isinstance(f, (Forall, Exists)):
-            scan(f.body)
-
     for f in goal.all_formulas():
-        scan(f)
+        for g in atomic_parts(f):
+            for t in _top_terms(g):
+                base.update(s for s in subterms(t) if not term_has_bound(s))
     return base
 
 
@@ -865,8 +848,7 @@ def refuted_by_countermodel(goal: Sequent) -> bool:
     is never refuted.
     """
     for f in goal.all_formulas():
-        terms = (f.lhs, f.rhs) if isinstance(f, Eq) else f.args if isinstance(f, Atom) else None
-        if terms is None or not all(isinstance(t, Param) for t in terms):
+        if not is_atomic(f) or not all(isinstance(t, Param) for t in _top_terms(f)):
             return False
     return all(
         isinstance(decide_function_free(Sequent(goal.ante, (f,))), DecidedUnderivable)

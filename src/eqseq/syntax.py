@@ -202,43 +202,66 @@ def is_identity(f: Formula) -> bool:
     return isinstance(f, Eq) and f.lhs == f.rhs
 
 
+def atomic_parts(f: Formula) -> list[Formula]:
+    """The atoms and equalities of ``f``, left to right, binders included."""
+    if isinstance(f, (Atom, Eq)):
+        return [f]
+    out: list[Formula] = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, (Atom, Eq)):
+            out.append(g)
+        elif isinstance(g, (And, Or, Imp)):
+            stack += (g.right, g.left)
+        elif isinstance(g, (Forall, Exists)):
+            stack.append(g.body)
+        elif not isinstance(g, Bottom):
+            raise SyntaxInvariantError(f"unknown formula node {g!r}")
+    return out
+
+
 def formula_params(f: Formula) -> set[str]:
-    if isinstance(f, Atom):
-        out: set[str] = set()
-        for t in f.args:
+    out: set[str] = set()
+    for g in atomic_parts(f):
+        for t in _top_terms(g):
             out |= term_params(t)
-        return out
-    if isinstance(f, Eq):
-        return term_params(f.lhs) | term_params(f.rhs)
-    if isinstance(f, (And, Or, Imp)):
-        return formula_params(f.left) | formula_params(f.right)
-    if isinstance(f, (Forall, Exists)):
-        return formula_params(f.body)
-    return set()
+    return out
 
 
 def formula_has_function_symbols(f: Formula) -> bool:
-    if isinstance(f, Atom):
-        return any(isinstance(s, FunApp) for t in f.args for s in subterms(t))
-    if isinstance(f, Eq):
-        return any(isinstance(s, FunApp) for s in subterms(f.lhs) | subterms(f.rhs))
-    if isinstance(f, (And, Or, Imp)):
-        return formula_has_function_symbols(f.left) or formula_has_function_symbols(f.right)
-    if isinstance(f, (Forall, Exists)):
-        return formula_has_function_symbols(f.body)
-    return False
+    return any(isinstance(t, FunApp) for g in atomic_parts(f) for t in _top_terms(g))
 
 
 # ---------------------------------------------------------------------------
 # Substitution
 
 
-def term_substitute(t: Term, var: str, repl: Term) -> Term:
-    if isinstance(t, BoundVar) and t.name == var:
-        return repl
-    if isinstance(t, FunApp):
-        return FunApp(t.sym, tuple(term_substitute(a, var, repl) for a in t.args))
-    return t
+def replace_leaf(x, old: Param | BoundVar, new: Term):
+    """The term or formula ``x`` with every occurrence of the leaf ``old``
+    replaced by ``new``.
+
+    A parameter is free by construction and is replaced everywhere; a bound
+    variable only where it is free, so a quantifier binding its name is left
+    whole.
+    """
+    if isinstance(x, (Param, BoundVar)):
+        return new if x == old else x
+    if isinstance(x, FunApp):
+        return FunApp(x.sym, tuple(replace_leaf(a, old, new) for a in x.args))
+    if isinstance(x, Atom):
+        return Atom(x.pred, tuple(replace_leaf(a, old, new) for a in x.args))
+    if isinstance(x, Eq):
+        return Eq(replace_leaf(x.lhs, old, new), replace_leaf(x.rhs, old, new))
+    if isinstance(x, Bottom):
+        return x
+    if isinstance(x, (And, Or, Imp)):
+        return type(x)(replace_leaf(x.left, old, new), replace_leaf(x.right, old, new))
+    if isinstance(x, (Forall, Exists)):
+        if isinstance(old, BoundVar) and x.var == old.name:
+            return x
+        return type(x)(x.var, replace_leaf(x.body, old, new))
+    raise SyntaxInvariantError(f"unknown node {x!r}")
 
 
 def substitute(f: Formula, var: str, t: Term) -> Formula:
@@ -250,103 +273,7 @@ def substitute(f: Formula, var: str, t: Term) -> Formula:
     """
     if term_has_bound(t):
         raise SyntaxInvariantError(f"unbound-var-in-term: {t}")
-    return _substitute(f, var, t)
-
-
-def _substitute(f: Formula, var: str, t: Term) -> Formula:
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(term_substitute(a, var, t) for a in f.args))
-    if isinstance(f, Eq):
-        return Eq(term_substitute(f.lhs, var, t), term_substitute(f.rhs, var, t))
-    if isinstance(f, Bottom):
-        return f
-    if isinstance(f, And):
-        return And(_substitute(f.left, var, t), _substitute(f.right, var, t))
-    if isinstance(f, Or):
-        return Or(_substitute(f.left, var, t), _substitute(f.right, var, t))
-    if isinstance(f, Imp):
-        return Imp(_substitute(f.left, var, t), _substitute(f.right, var, t))
-    if isinstance(f, Forall):
-        if f.var == var:
-            return f
-        return Forall(f.var, _substitute(f.body, var, t))
-    if isinstance(f, Exists):
-        if f.var == var:
-            return f
-        return Exists(f.var, _substitute(f.body, var, t))
-    raise SyntaxInvariantError(f"unknown formula node {f!r}")
-
-
-def substitute_param(f: Formula, name: str, t: Term) -> Formula:
-    """Replace every occurrence of the parameter ``name`` in ``f`` by ``t``.
-
-    Parameters are free by construction, so no capture check is needed beyond
-    the usual requirement that ``t`` contains no bound variables.
-    """
-    if term_has_bound(t):
-        raise SyntaxInvariantError(f"unbound-var-in-term: {t}")
-
-    def rt(s: Term) -> Term:
-        if isinstance(s, Param) and s.name == name:
-            return t
-        if isinstance(s, FunApp):
-            return FunApp(s.sym, tuple(rt(x) for x in s.args))
-        return s
-
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(rt(x) for x in f.args))
-    if isinstance(f, Eq):
-        return Eq(rt(f.lhs), rt(f.rhs))
-    if isinstance(f, Bottom):
-        return f
-    if isinstance(f, And):
-        return And(substitute_param(f.left, name, t), substitute_param(f.right, name, t))
-    if isinstance(f, Or):
-        return Or(substitute_param(f.left, name, t), substitute_param(f.right, name, t))
-    if isinstance(f, Imp):
-        return Imp(substitute_param(f.left, name, t), substitute_param(f.right, name, t))
-    if isinstance(f, Forall):
-        return Forall(f.var, substitute_param(f.body, name, t))
-    if isinstance(f, Exists):
-        return Exists(f.var, substitute_param(f.body, name, t))
-    raise SyntaxInvariantError(f"unknown formula node {f!r}")
-
-
-def rename_param(f: Formula, old: str, new: str) -> Formula:
-    """Rename a parameter everywhere in ``f`` (used for eigenparameter refresh)."""
-
-    def rt(t: Term) -> Term:
-        if isinstance(t, Param) and t.name == old:
-            return Param(new)
-        if isinstance(t, FunApp):
-            return FunApp(t.sym, tuple(rt(a) for a in t.args))
-        return t
-
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(rt(a) for a in f.args))
-    if isinstance(f, Eq):
-        return Eq(rt(f.lhs), rt(f.rhs))
-    if isinstance(f, Bottom):
-        return f
-    if isinstance(f, And):
-        return And(rename_param(f.left, old, new), rename_param(f.right, old, new))
-    if isinstance(f, Or):
-        return Or(rename_param(f.left, old, new), rename_param(f.right, old, new))
-    if isinstance(f, Imp):
-        return Imp(rename_param(f.left, old, new), rename_param(f.right, old, new))
-    if isinstance(f, Forall):
-        return Forall(f.var, rename_param(f.body, old, new))
-    if isinstance(f, Exists):
-        return Exists(f.var, rename_param(f.body, old, new))
-    raise SyntaxInvariantError(f"unknown formula node {f!r}")
-
-
-def rename_param_in_term(t: Term, old: str, new: str) -> Term:
-    if isinstance(t, Param) and t.name == old:
-        return Param(new)
-    if isinstance(t, FunApp):
-        return FunApp(t.sym, tuple(rename_param_in_term(a, old, new) for a in t.args))
-    return t
+    return replace_leaf(f, BoundVar(var), t)
 
 
 # ---------------------------------------------------------------------------

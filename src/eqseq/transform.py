@@ -10,7 +10,7 @@ in a case table fails fast instead of looping.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .calculus import (
     CalculusError,
@@ -32,6 +32,7 @@ from .syntax import (
     Eq,
     EqSeqError,
     Formula,
+    Param,
     Path,
     Sequent,
     Term,
@@ -39,10 +40,9 @@ from .syntax import (
     is_identity,
     paths_overlap,
     remove_at,
-    rename_param,
-    rename_param_in_term,
     replace_at,
     replace_formula,
+    replace_leaf,
     replace_in_term,
     term_at,
 )
@@ -165,20 +165,16 @@ def _collect_params(d: Derivation) -> set[str]:
 
 
 def _rename_param_deriv(d: Derivation, old: str, new: str) -> Derivation:
-    def fix_formula(f: Formula) -> Formula:
-        return rename_param(f, old, new)
+    def fix(x):
+        return None if x is None else replace_leaf(x, Param(old), Param(new))
 
-    seq = Sequent(
-        tuple(fix_formula(f) for f in d.sequent.ante),
-        tuple(fix_formula(f) for f in d.sequent.succ),
+    inst = replace(
+        d.inst,
+        witness=fix(d.inst.witness),
+        eigen=new if d.inst.eigen == old else d.inst.eigen,
+        cut_formula=fix(d.inst.cut_formula),
     )
-    inst = d.inst
-    witness = None if inst.witness is None else rename_param_in_term(inst.witness, old, new)
-    cut_formula = None if inst.cut_formula is None else fix_formula(inst.cut_formula)
-    eigen = new if inst.eigen == old else inst.eigen
-    inst = RuleInstance(
-        inst.rule, inst.principal, inst.replacement, witness, eigen, cut_formula, inst.split
-    )
+    seq = Sequent(tuple(map(fix, d.sequent.ante)), tuple(map(fix, d.sequent.succ)))
     return Derivation(seq, inst, tuple(_rename_param_deriv(c, old, new) for c in d.children))
 
 

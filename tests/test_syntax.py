@@ -48,6 +48,19 @@ def test_substitute_rejects_bound_variables_in_replacement():
         substitute(Eq(BoundVar("x"), b), "x", BoundVar("y"))
 
 
+def test_replace_leaf_on_terms_and_formulas():
+    from eqseq.syntax import BOT, Exists, Formula, Imp, SyntaxInvariantError, replace_leaf
+
+    x = BoundVar("x")
+    assert replace_leaf(f(a, x), a, b) == f(b, x)
+    assert replace_leaf(f(a, x), x, c) == f(a, c)
+    g = Forall("x", Imp(BOT, Atom("P", (a, x))))
+    assert replace_leaf(g, x, c) == g  # the binder of x is left whole
+    assert replace_leaf(Exists("y", g), a, c) == Exists("y", Forall("x", Imp(BOT, Atom("P", (c, x)))))
+    with pytest.raises(SyntaxInvariantError):
+        replace_leaf(Formula(), a, b)
+
+
 def test_occurrences_nested():
     assert occurrences(Eq(a, f(a)), a) == [(0,), (1, 0)]
     assert occurrences(Eq(a, b), c) == []
@@ -124,13 +137,13 @@ def test_identity_and_height():
 @given(atomics, terms)
 def test_substitute_composes_through_fresh_parameter(g, t):
     # abstract one occurrence into a bound variable, then substitute in two hops
-    from eqseq.syntax import substitute_param
+    from eqseq.syntax import replace_leaf
 
     occ = occurrences(g, Param("a"))
     if not occ:
         return
     abstracted = replace_at(g, {occ[0]}, Param("a"), BoundVar("x"))
-    via_fresh = substitute_param(substitute(abstracted, "x", Param("zfresh")), "zfresh", t)
+    via_fresh = replace_leaf(substitute(abstracted, "x", Param("zfresh")), Param("zfresh"), t)
     assert via_fresh == substitute(abstracted, "x", t)
 
 
