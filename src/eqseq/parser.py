@@ -565,7 +565,7 @@ class _DerivationParser(_Parser):
                 got[field] = self._paths_csv()
             else:  # eq_index, context_index
                 got[field] = self._int()
-        if sig.index and not got["paths"]:
+        if "paths" in got and not got["paths"]:
             raise ParseError("malformed instance args: empty path list", span)
         self.expect("]")
         replacement = None

@@ -170,6 +170,7 @@ def test_instance_args_cover_every_rule():
     "text, message, span",
     [
         ('(rep2r [0;0;] "a = b |- a = a")', "malformed instance args: empty path list", (1, 6, 1, 2)),
+        ('(cng [;;0;;"a"] "|-")', "malformed instance args: empty path list", (1, 4, 1, 2)),
         ('(rep2r [0;0] "|-")', "expected ';', found ']'", (11, 12, 1, 12)),
         ('(cut [0;1;P] "|-")', "expected a quoted string, found 'P'", (10, 11, 1, 11)),
         ('(cut [0;1;"P("] "|-")', "unexpected end of input", (2, 2, 1, 2)),
