@@ -401,6 +401,9 @@ def run(argv: list[str]) -> int:
     except (_UsageError, FileNotFoundError, EqSeqError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect, not a verdict: exit 2 without a traceback
+        print(f"error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -129,6 +129,22 @@ def test_usage_and_parse_errors_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_uncaught_exception_exits_2_with_one_line(capsys, monkeypatch):
+    import eqseq.cli
+
+    def broken(*args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(eqseq.cli, "prove", broken)
+    code, out, err = invoke(capsys, "prove", "a=b |- a=b", "--preset", "R12r")
+    assert (code, out, err) == (2, "", "error: RuntimeError: boom second line\n")
+    monkeypatch.undo()
+    # a term too deep for the recursive traversals: never a traceback or exit 1
+    deep = "f(" * 300 + "a" + ")" * 300
+    code, _, err = invoke(capsys, "prove", f"{deep} = b |- b = {deep}", "--preset", "R12r")
+    assert code == 0 or (code, err.count("\n"), err[:7]) == (2, 1, "error: ")
+
+
 def test_reports_deterministic_modulo_timing(capsys):
     _, out1, _ = invoke(capsys, "prove", "a=c, b=c |- a=b", "--preset", "R12r")
     _, out2, _ = invoke(capsys, "prove", "a=c, b=c |- a=b", "--preset", "R12r")
