@@ -11,6 +11,7 @@ in a case table fails fast instead of looping.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import count
 
 from .calculus import (
     CalculusError,
@@ -157,13 +158,6 @@ def renormalize(d: Derivation, spec: CalculusSpec) -> Derivation:
 # Height-preserving weakening (hp-admissibility of LW/RW)
 
 
-def _collect_params(d: Derivation) -> set[str]:
-    out: set[str] = set()
-    for n in d.nodes():
-        out |= n.sequent.params()
-    return out
-
-
 def _rename_param_deriv(d: Derivation, old: str, new: str) -> Derivation:
     def fix(x):
         return None if x is None else replace_leaf(x, Param(old), Param(new))
@@ -180,16 +174,13 @@ def _rename_param_deriv(d: Derivation, old: str, new: str) -> Derivation:
 
 def _refresh_eigens(d: Derivation, avoid: set[str]) -> Derivation:
     """Rename any eigenparameter clashing with ``avoid`` throughout its subtree."""
-    taken = _collect_params(d) | avoid
-    counter = [0]
+    taken = avoid.union(*(n.sequent.params() for n in d.nodes()))
+    names = (f"_e{k}" for k in count(1))
 
     def fresh() -> str:
-        while True:
-            counter[0] += 1
-            name = f"_e{counter[0]}"
-            if name not in taken:
-                taken.add(name)
-                return name
+        name = next(n for n in names if n not in taken)
+        taken.add(name)
+        return name
 
     def go(n: Derivation) -> Derivation:
         if n.inst.eigen is not None and n.inst.eigen in avoid:
