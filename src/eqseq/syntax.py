@@ -204,8 +204,6 @@ def is_identity(f: Formula) -> bool:
 
 def atomic_parts(f: Formula) -> list[Formula]:
     """The atoms and equalities of ``f``, left to right, binders included."""
-    if isinstance(f, (Atom, Eq)):
-        return [f]
     out: list[Formula] = []
     stack = [f]
     while stack:
@@ -237,7 +235,7 @@ def formula_has_function_symbols(f: Formula) -> bool:
 # Substitution
 
 
-def replace_leaf(x, old: Param | BoundVar, new: Term):
+def replace_leaf(x: Term | Formula, old: Param | BoundVar, new: Term) -> Term | Formula:
     """The term or formula ``x`` with every occurrence of the leaf ``old``
     replaced by ``new``.
 

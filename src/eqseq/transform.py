@@ -11,7 +11,6 @@ in a case table fails fast instead of looping.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import count
 
 from .calculus import (
     CalculusError,
@@ -175,12 +174,15 @@ def _rename_param_deriv(d: Derivation, old: str, new: str) -> Derivation:
 def _refresh_eigens(d: Derivation, avoid: set[str]) -> Derivation:
     """Rename any eigenparameter clashing with ``avoid`` throughout its subtree."""
     taken = avoid.union(*(n.sequent.params() for n in d.nodes()))
-    names = (f"_e{k}" for k in count(1))
+    counter = [0]
 
     def fresh() -> str:
-        name = next(n for n in names if n not in taken)
-        taken.add(name)
-        return name
+        while True:
+            counter[0] += 1
+            name = f"_e{counter[0]}"
+            if name not in taken:
+                taken.add(name)
+                return name
 
     def go(n: Derivation) -> Derivation:
         if n.inst.eigen is not None and n.inst.eigen in avoid:
