@@ -886,7 +886,7 @@ def expansions(
 
     # the rules whose instances a principal index and at most a witness or an
     # eigenparameter fix go through premisses_of
-    eigen = fresh_eigen(goal)
+    eigen = None  # named on first use: most calculi have no eigen rule
     principals = {"a": [(i,) for i in range(len(ante))], "s": [(j,) for j in range(len(succ))]}
     for rule, sig in spec._signatures:
         if rule in _LEAVES or len(sig.fields) > 1:
@@ -896,6 +896,7 @@ def expansions(
                 for t in terms:
                     add(RuleInstance(rule, principal, witness=t))
             elif sig.fields == ("eigen",):
+                eigen = eigen or fresh_eigen(goal)
                 add(RuleInstance(rule, principal, eigen=eigen))
             else:
                 add(RuleInstance(rule, principal))

@@ -19,9 +19,17 @@ class Derivation:
 
     @cached_property
     def height(self) -> int:
-        if not self.children:
-            return 0
-        return 1 + max(c.height for c in self.children)
+        # children first, over an explicit stack that stops at cached heights:
+        # a tall derivation would pass the recursion limit
+        stack = [self]
+        while stack:
+            d = stack[-1]
+            todo = [c for c in d.children if "height" not in c.__dict__]
+            stack += todo
+            if not todo:
+                stack.pop()
+                d.__dict__["height"] = 1 + max(c.height for c in d.children) if d.children else 0
+        return self.__dict__["height"]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Derivation):
@@ -36,9 +44,12 @@ class Derivation:
         return hash((self.sequent, self.inst, self.children))
 
     def nodes(self):
-        yield self
-        for c in self.children:
-            yield from c.nodes()
+        """Every node, in preorder."""
+        stack = [self]
+        while stack:
+            d = stack.pop()
+            yield d
+            stack += reversed(d.children)
 
     def rules_used(self) -> set[RuleId]:
         return {n.inst.rule for n in self.nodes()}

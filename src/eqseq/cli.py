@@ -31,6 +31,7 @@ from .search import (
     Exhausted,
     Proved,
     SearchLimits,
+    chain_to_derivation,
     decide_function_free,
     prove,
 )
@@ -181,7 +182,7 @@ def _cmd_decide(args, cfg) -> int:
     if plan.witness_index is not None:
         machine["witness"] = str(goal.ante[plan.witness_index])
     if args.out:
-        d = tf.orient_function_free(goal)
+        d = chain_to_derivation(plan)
         _write_drv(args.out, d)
         machine["height"] = d.height
         human.append(f"oriented witness derivation written to {args.out}")
@@ -189,16 +190,52 @@ def _cmd_decide(args, cfg) -> int:
     return 0
 
 
-_TRANSFORM_TARGETS = {
-    "cut-eliminate": "R12r",
-    "right-normalize": "R12r_eqr",
-    "scope-restrict": "R_scope",
-    "eliminate-rep1r": "R2rlPlus",
-    "eliminate-rep2r": "R1rlPlus",
-    "single-occurrence": None,
-    "semishorten": None,
-    "translate": None,
-    "project": None,
+def _eliminate(eliminate, preset: str, rule: RuleId, d):
+    """``eliminate`` after single-occurrence normalization under ``preset`` plus ``rule``."""
+    target = PRESETS[preset]
+    return eliminate(tf.single_occurrence_normalize(d, target.with_rules(rule))), target
+
+
+def _single_occurrence(d, args, cfg):
+    spec = _spec_of(args, cfg)
+    return tf.single_occurrence_normalize(d, spec), spec
+
+
+def _project(d, args, cfg):
+    spec = _spec_of(args, cfg)
+    return tf.project_succedent(d, spec)[1], spec
+
+
+def _semishorten(d, args, cfg):
+    prec = _parse_prec(args.prec or "height")
+    return tf.semishorten(d, prec), tf.semishorten_target(prec)
+
+
+def _translate(d, args, cfg):
+    if not args.source or not args.target:
+        raise _UsageError("translate needs --source and --target presets")
+    out = tf.equivalence_translate(d, args.source, args.target)
+    return out, resolve_spec(args.target).with_rules(RuleId.CUT, RuleId.LC, RuleId.LW)
+
+
+# op -> (function of (derivation, args, cfg) to (output, target), the steps before op
+# in its report).  They look transforms up in ``tf`` as they run, for wrappers on it.
+_TRANSFORMS = {
+    "cut-eliminate": (lambda d, args, cfg: (tf.cut_eliminate_pipeline(d), PRESETS["R12r"]), ()),
+    "right-normalize": (lambda d, args, cfg: (tf.right_normalize(d), PRESETS["R12r_eqr"]), ()),
+    "scope-restrict": (lambda d, args, cfg: (tf.scope_restrict(d), PRESETS["R_scope"]), ()),
+    "eliminate-rep1r": (
+        lambda d, args, cfg: _eliminate(tf.eliminate_rep1r_plus, "R2rlPlus", RuleId.REP1R, d),
+        ("single-occurrence",),
+    ),
+    "eliminate-rep2r": (
+        lambda d, args, cfg: _eliminate(tf.eliminate_rep2r_plus, "R1rlPlus", RuleId.REP2R, d),
+        ("single-occurrence",),
+    ),
+    "single-occurrence": (_single_occurrence, ()),
+    "semishorten": (_semishorten, ()),
+    "translate": (_translate, ()),
+    "project": (_project, ()),
 }
 
 
@@ -206,47 +243,10 @@ def _cmd_transform(args, cfg) -> int:
     with open(args.drv, encoding="utf-8") as fh:
         d = parse_derivation(fh.read())
     op = args.op
-    if op not in _TRANSFORM_TARGETS:
-        raise _UsageError(f"unknown transform op {op!r}; choose from {sorted(_TRANSFORM_TARGETS)}")
+    transform, before = _TRANSFORMS[op]
     t0 = time.monotonic()
-    steps: tuple[str, ...] = (op,)
-    if op == "cut-eliminate":
-        out = tf.cut_eliminate_pipeline(d)
-        target = PRESETS["R12r"]
-    elif op == "right-normalize":
-        out = tf.right_normalize(d)
-        target = PRESETS["R12r_eqr"]
-    elif op == "scope-restrict":
-        out = tf.scope_restrict(d)
-        target = PRESETS["R_scope"]
-    elif op == "eliminate-rep1r":
-        work = PRESETS["R2rlPlus"].with_rules(RuleId.REP1R)
-        out = tf.eliminate_rep1r_plus(tf.single_occurrence_normalize(d, work))
-        target = PRESETS["R2rlPlus"]
-        steps = ("single-occurrence", op)
-    elif op == "eliminate-rep2r":
-        work = PRESETS["R1rlPlus"].with_rules(RuleId.REP2R)
-        out = tf.eliminate_rep2r_plus(tf.single_occurrence_normalize(d, work))
-        target = PRESETS["R1rlPlus"]
-        steps = ("single-occurrence", op)
-    elif op == "single-occurrence":
-        spec = _spec_of(args, cfg)
-        out = tf.single_occurrence_normalize(d, spec)
-        target = spec
-    elif op == "semishorten":
-        prec = _parse_prec(args.prec or "height")
-        out = tf.semishorten(d, prec)
-        target = tf.semishorten_target(prec)
-    elif op == "translate":
-        if not args.source or not args.target:
-            raise _UsageError("translate needs --source and --target presets")
-        out = tf.equivalence_translate(d, args.source, args.target)
-        target = resolve_spec(args.target).with_rules(RuleId.CUT, RuleId.LC, RuleId.LW)
-    else:  # project
-        spec = _spec_of(args, cfg)
-        formula, out = tf.project_succedent(d, spec)
-        target = spec
-    report = tf.make_report(d, out, target, steps)
+    out, target = transform(d, args, cfg)
+    report = tf.make_report(d, out, target, before + (op,))
     ms = int((time.monotonic() - t0) * 1000)
     human = [f"{op}: ok"] + report.lines()
     machine = {
@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="apply a proof transformation to a .drv file")
     p.add_argument("drv")
-    p.add_argument("op", choices=sorted(_TRANSFORM_TARGETS))
+    p.add_argument("op", choices=sorted(_TRANSFORMS))
     common(p)
     p.add_argument("--source", help="source preset (translate)")
     p.add_argument("--target", help="target preset (translate)")

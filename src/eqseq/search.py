@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .calculus import (
     CalculusSpec,
     MovePool,
+    PRESETS,
     RULES,
     RuleId,
     RuleInstance,
@@ -26,7 +27,7 @@ from .calculus import (
     premisses_of,
     repl_inst,
 )
-from .checker import Derivation, node
+from .checker import Derivation, check, node
 from .syntax import (
     Atom,
     Eq,
@@ -707,9 +708,6 @@ class Chain:
     end: Term
     links: tuple[tuple[Eq, bool], ...] = ()
 
-    def formulas(self) -> tuple[Eq, ...]:
-        return tuple(e for e, _ in self.links)
-
     def __len__(self) -> int:
         return len(self.links)
 
@@ -857,69 +855,56 @@ def refuted_by_countermodel(goal: Sequent) -> bool:
 
 
 def chain_to_derivation(plan: WitnessPlan) -> Derivation:
-    """Realize a witness plan as a derivation using only left-to-right
-    replacement (index 2) over initial sequents and reflexivity leaves.
+    """Realize a witness plan in ``R2rl`` (index-2 replacement over ``init``
+    and ``refax`` leaves), consuming the plan's chains link by link.
 
-    Works backward from the goal: repeatedly pick an antecedent equality
-    ``u = v`` and rewrite every other occurrence of ``u`` (succedent first,
-    then antecedent formulas) until the goal closes by an initial sequent or
-    a reflexivity axiom.  The construction stays inside {RefAx, Rep2L, Rep2R}.
+    Each step removes one link of the chain from the left slot (succedent
+    lhs, or the witness's argument k) to the right slot (succedent rhs or
+    argument k): a first link ``x0 = x1`` moves the left slot to x1; else a
+    last link ``xn = x(n-1)`` moves the right slot to x(n-1); else a strict
+    rep2l on the first link ``x1 = x0`` rewrites x1 to x0 in the second.
+    Later chains are extracted again, as such a fold may rewrite their
+    links.  The kernel checks the result.
     """
-    goal = plan.goal
     _validate_plan(plan)
+    spec = PRESETS["R2rl"]
     steps: list[tuple[Sequent, RuleInstance]] = []
-    cur = goal
+    cur = plan.goal
 
-    def terminal(seq: Sequent) -> RuleInstance | None:
-        tgt = seq.succ[0]
-        if is_identity(tgt):
-            return leaf(RuleId.REFAX, 0)
-        for i, f in enumerate(seq.ante):
-            if f == tgt:
-                return leaf(RuleId.INIT, i, 0)
-        return None
-
-    processed: set[int] = set()
-    guard = 0
-    while terminal(cur) is None:
-        guard += 1
-        if guard > 10_000:
-            raise MalformedWitnessError("malformed-witness: collapse did not terminate")
-        step = _collapse_step(cur, processed)
-        if step is None:
-            raise MalformedWitnessError("malformed-witness: no collapse step applies")
-        inst, nxt = step
+    def step(rule: RuleId, ctx: int, path: tuple[int, ...], op: Eq) -> None:
+        nonlocal cur
+        inst = repl_inst(rule, cur.ante.index(op), ctx, [path])
         steps.append((cur, inst))
-        cur = nxt
-    d = node(cur, terminal(cur))
+        cur = premisses_of(cur, inst, spec)[0]
+
+    w = plan.witness_index
+    for k, chain in enumerate(plan.chains):
+        if k:
+            chain = chain_extract(cur.ante, chain.start, chain.end)
+        left = (RuleId.REP2R, 0, (0,)) if w is None else (RuleId.REP2L, w, (k,))
+        right = (RuleId.REP2R, 0, (1,) if w is None else (k,))
+        links = list(chain.links)
+        while links and not (is_identity(cur.succ[0]) or cur.succ[0] in cur.ante):
+            (first, first_fwd), (last, last_fwd) = links[0], links[-1]
+            if first_fwd:
+                step(*left, first)
+                del links[0]
+            elif not last_fwd:
+                step(*right, last)
+                del links[-1]
+            else:
+                second, fwd = links[1]
+                at = cur.ante.index(second)
+                step(RuleId.REP2L, at, (0,) if fwd else (1,), first)
+                links[:2] = [(cur.ante[at], fwd)]
+    tgt = cur.succ[0]
+    d = node(cur, leaf(RuleId.REFAX, 0) if is_identity(tgt) else leaf(RuleId.INIT, cur.ante.index(tgt), 0))
     for seq, inst in reversed(steps):
         d = node(seq, inst, d)
+    report = check(d, spec)
+    if not report.valid:
+        raise MalformedWitnessError(f"malformed-witness: {report.first_error}")
     return d
-
-
-def _collapse_step(cur: Sequent, processed: set[int]) -> tuple[RuleInstance, Sequent] | None:
-    from .calculus import PRESETS
-
-    spec = PRESETS["R2rl"]
-    for e_i, e in enumerate(cur.ante):
-        if e_i in processed or not isinstance(e, Eq) or e.lhs == e.rhs:
-            continue
-        if not isinstance(e.lhs, Param) or not isinstance(e.rhs, Param):
-            continue
-        u = e.lhs
-        occ = occurrences(cur.succ[0], u)
-        if occ:
-            inst = repl_inst(RuleId.REP2R, e_i, 0, occ)
-            return inst, premisses_of(cur, inst, spec)[0]
-        for i, f in enumerate(cur.ante):
-            if i == e_i:
-                continue
-            occ = occurrences(f, u)
-            if occ:
-                inst = repl_inst(RuleId.REP2L, e_i, i, occ)
-                return inst, premisses_of(cur, inst, spec)[0]
-        processed.add(e_i)
-    return None
 
 
 def _validate_plan(plan: WitnessPlan) -> None:
@@ -946,13 +931,15 @@ def _validate_plan(plan: WitnessPlan) -> None:
             if chain.start != x or chain.end != y:
                 raise MalformedWitnessError("malformed-witness: chain endpoints do not match")
     for chain in plan.chains:
-        cur = chain.start
+        path = [chain.start]
         for (e, fwd) in chain.links:
             if e not in goal.ante:
                 raise MalformedWitnessError(f"malformed-witness: link {e} not in the antecedent")
             src, dst = (e.lhs, e.rhs) if fwd else (e.rhs, e.lhs)
-            if src != cur:
+            if src != path[-1]:
                 raise MalformedWitnessError("malformed-witness: chain links do not connect")
-            cur = dst
-        if cur != chain.end:
+            path.append(dst)
+        if path[-1] != chain.end:
             raise MalformedWitnessError("malformed-witness: chain does not reach its endpoint")
+        if len(set(path)) != len(path):
+            raise MalformedWitnessError("malformed-witness: chain visits a term twice")

@@ -49,6 +49,31 @@ def test_child_order_is_multiset_insensitive():
     assert check(d, PRESETS["R12r"]).valid
 
 
+def test_tall_derivation_walks_without_recursion():
+    # a 10,000-node spine is far past the interpreter's recursion limit
+    seq = parse_sequent("a=b |- P(a)")
+    d = node(seq, leaf(RuleId.REFAX, 0))
+    for _ in range(9_999):
+        d = node(seq, repl_inst(RuleId.REP2R, 0, 0, [(0,)]), d)
+    nodes = list(d.nodes())
+    assert len(nodes) == 10_000 and nodes[0] is d and nodes[-1].inst.rule is RuleId.REFAX
+    assert d.height == 9_999 and nodes[1].height == 9_998
+    assert d.rules_used() == {RuleId.REP2R, RuleId.REFAX}
+
+
+def test_nodes_in_preorder():
+    d = load("symm_case_2_1")
+    expected = []
+
+    def preorder(n):
+        expected.append(n)
+        for c in n.children:
+            preorder(c)
+
+    preorder(d)
+    assert [id(n) for n in d.nodes()] == [id(n) for n in expected]
+
+
 def test_stats():
     d = load("symm_case_2_1")
     rep = stats(d)

@@ -75,6 +75,15 @@ def test_decide_and_witness(tmp_path, capsys):
     assert code == 1
 
 
+def test_decide_witness_for_a_30_link_chain(tmp_path, capsys):
+    names = [f"q{k}" for k in range(31)]
+    goal = ", ".join(f"{x}={y}" for x, y in zip(names, names[1:])) + " |- q0=q30"
+    out_file = tmp_path / "chain.drv"
+    code, out, _ = invoke(capsys, "decide", goal, "-o", str(out_file))
+    assert code == 0 and "height: 29" in out
+    assert check(parse_derivation(out_file.read_text()), PRESETS["R2rl"]).valid
+
+
 def test_transform_command(tmp_path, capsys):
     drv = tmp_path / "symm.drv"
     drv.write_text(

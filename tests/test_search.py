@@ -13,6 +13,7 @@ from eqseq.search import (
     DecidedUnderivable,
     Exhausted,
     FunctionSymbolsPresentError,
+    MalformedWitnessError,
     NonAtomicGoalError,
     Proved,
     SearchLimits,
@@ -179,6 +180,65 @@ def test_chain_to_derivation_shared_links():
     d = chain_to_derivation(plan)
     assert check(d, R2rl).valid
     assert d.sequent == goal
+
+
+def _chain_goal(links, carry, forward):
+    """``bench/gen.py``'s chain goal ``q0 = q1, ..., q(n-1) = qn |- q0 = qn``
+    (or carrying ``Q(q0)`` to ``Q(qn)``), with link i stored as
+    ``qi = q(i+1)`` when ``forward(i)`` and reversed otherwise."""
+    names = [f"q{k}" for k in range(links + 1)]
+    ante = [f"{x}={y}" if forward(i) else f"{y}={x}" for i, (x, y) in enumerate(zip(names, names[1:]))]
+    if carry:
+        return seq(", ".join(ante + [f"Q({names[0]})"]) + f" |- Q({names[-1]})")
+    return seq(", ".join(ante) + f" |- {names[0]}={names[-1]}")
+
+
+CHAIN_SHAPES = {
+    "forward": lambda i: True,
+    "reversed": lambda i: False,
+    "alternating": lambda i: i % 2 == 0,
+}
+
+
+@pytest.mark.parametrize("carry", [False, True], ids=["eq", "atom"])
+@pytest.mark.parametrize("shape", sorted(CHAIN_SHAPES))
+@pytest.mark.parametrize("links", range(1, 31))
+def test_chain_to_derivation_height_at_most_the_links(links, shape, carry):
+    goal = _chain_goal(links, carry, CHAIN_SHAPES[shape])
+    plan = decide_function_free(goal)
+    assert sum(len(c) for c in plan.chains) == links
+    d = chain_to_derivation(plan)
+    assert check(d, R2rl).valid and d.sequent == goal
+    assert d.height <= links
+
+
+def test_chain_to_derivation_height_bound_on_random_goals():
+    rng = random.Random(2024)
+    for _ in range(300):
+        goal = random_function_free_sequent(rng, n_params=6, n_eqs=4, n_atoms=3)
+        plan = decide_function_free(goal)
+        if isinstance(plan, DecidedUnderivable):
+            continue
+        n = sum(len(c) for c in plan.chains)
+        d = chain_to_derivation(plan)
+        assert check(d, R2rl).valid and d.sequent == goal, str(goal)
+        assert d.height <= (n if len(plan.chains) == 1 else 2 * n + 1), str(goal)
+
+
+def test_chain_to_derivation_rejects_malformed_plans(monkeypatch):
+    goal = seq("b=a, b=c |- a=c")
+    b_a, b_c = goal.ante
+    # a chain may not pass through a term twice
+    looping = Chain(Param("a"), Param("c"), ((b_a, False), (b_a, True), (b_a, False), (b_c, True)))
+    with pytest.raises(MalformedWitnessError, match="visits a term twice"):
+        chain_to_derivation(WitnessPlan(goal, None, (looping,)))
+    # a witness the kernel rejects is not returned
+    import eqseq.search as search_mod
+    from eqseq.checker import CheckReport
+
+    monkeypatch.setattr(search_mod, "check", lambda d, spec: CheckReport(False, d.height))
+    with pytest.raises(MalformedWitnessError):
+        chain_to_derivation(decide_function_free(goal))
 
 
 def test_exact_decide_matches_decision_procedure():
