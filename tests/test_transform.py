@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import random
 
 import pytest
@@ -12,9 +14,9 @@ from eqseq.calculus import (
     resolve_preset,
 )
 from eqseq.checker import check
-from eqseq.parser import parse_derivation, parse_formula, parse_sequent
+from eqseq.parser import parse_derivation, parse_formula, parse_sequent, print_derivation
 from eqseq.search import Proved, SearchLimits, prove
-from eqseq.syntax import Eq
+from eqseq.syntax import Eq, EqSeqError
 import eqseq.transform as tf
 
 R12r = PRESETS["R12r"]
@@ -511,3 +513,117 @@ def test_weaken_renames_eigenparameter_in_witness_and_cut_formula():
     cut = w.children[0]
     assert cut.inst.cut_formula == Atom("P", (fresh,))
     assert cut.children[0].inst.witness == fresh
+
+
+# -- pinned outputs of the CLI transform ops
+#
+# The goldens are hand transcriptions, so they do not pin what the transforms
+# print.  These digests do: each covers one op's printed outputs (or error
+# lines) on seeded random inputs plus a few hand-built ones, so a refactor
+# that changes a single node of any output shows here.
+
+_PIN_RANDOM = {
+    # op: (calculus of the random inputs, further command-line args, how many)
+    "cut-eliminate": (R12r.with_rules(RuleId.CUT, RuleId.LC, RuleId.LCEQ), {}, 100),
+    "right-normalize": (R12r, {}, 100),
+    "scope-restrict": (R12r, {}, 100),
+    "eliminate-rep1r": (PRESETS["R2rlPlus"].with_rules(RuleId.REP1R), {}, 100),
+    "eliminate-rep2r": (PRESETS["R1rlPlus"].with_rules(RuleId.REP2R), {}, 100),
+    "single-occurrence": (PRESETS["R12rl"], {"preset": "R12rl"}, 100),
+    "semishorten": (R12r, {}, 100),
+    "project": (PRESETS["R12rl"], {"preset": "R12rl"}, 100),
+}
+# (source, target) pairs, ten random inputs each
+_PIN_TRANSLATE = [
+    ("R12r", "RefRep2L"),
+    ("R12r", "EqCutFree"),
+    ("R12rl", "R12r"),
+    ("R12rl", "R1rlPlus"),
+    ("R12rl", "R2rlPlus"),
+    ("R12rl", "RefRep"),
+    ("R12rl", "RefRep2L"),
+    ("R1rl", "R2rl"),
+    ("R1rlPlus", "R2rl"),
+    ("R2rlPlus", "R1rl"),
+    ("R2rlPlus", "R12r"),
+    ("RefRep", "R12r"),
+    ("RefRep", "RefRep2L"),
+    ("RefRep2L", "R12rl"),
+    ("CngLCeq", "R12r"),
+    ("EqCutFree", "RefRep"),
+]
+_OPERATING_CONTEXT = {
+    # the initial sequent's context is the operating equality, index 1 and 2
+    1: '(rep1r [0;0;1.0] "a=f(a) |- a=f(f(a))"\n  (init [0;0] "a=f(a) |- a=f(a)"))',
+    2: '(rep2r [0;0;0.0] "f(a)=a |- f(f(a))=a"\n  (init [0;0] "f(a)=a |- f(a)=a"))',
+}
+_SYMM = '(symm [0] "b=a |- a=b"\n  (init [0;0] "a=b |- a=b"))'
+_REP = '(rep [0;1;0] "a=b, P(a) |- P(b)"\n  (init [2;0] "a=b, P(a), P(b) |- P(b)"))'
+_PIN_FIXED = {
+    "eliminate-rep1r": [(_OPERATING_CONTEXT[1], {})],
+    "eliminate-rep2r": [(_OPERATING_CONTEXT[2], {})],
+    "scope-restrict": [
+        ('(rep1r [0;0;0] "a=b, P(a) |- P(b)"\n  (init [1;0] "a=b, P(a) |- P(a)"))', {}),
+        ('(rep2r [0;0;0] "a=b, P(b) |- P(a)"\n  (init [1;0] "a=b, P(b) |- P(b)"))', {}),
+    ],
+    # one symmetry block per succedent rule, then the left-rule routes
+    "translate": [
+        (_SYMM, {"source": "base=none rules=symm", "target": target})
+        for target in (
+            "R1rl", "R2rl", "EqCutFree", "base=none rules=refax,eq2", "CngOnly", "RefRep2L", "RefRep",
+        )
+    ]
+    # a left rule that keeps its context, into strict, flipped and right-rule targets
+    + [(_REP, {"source": "RefRep", "target": target}) for target in ("RefRep2L", "R1rl", "R12r")],
+}
+_PINNED = {
+    "cut-eliminate": "6c7d7409fd6653d2937a663e75ee01b48e550ff040b43a506eb21c8134ced1be",
+    "right-normalize": "1081559d10159d0e97452e04820b771858a09ea90d4724851a1f85a3fc575a8b",
+    "scope-restrict": "1c6d395fdc6543d41b8b3866fdb8d5dc7b5a0d0700c91af34d6620219b9c2b65",
+    "eliminate-rep1r": "e3e0028848d5aef27d44709b776c7a8a992765c8cbadc93154a5424f89f11470",
+    "eliminate-rep2r": "c21dcfc55d59e7c206c2fb8c5c4a3494b1c43454c80e6bb9368d57f850a964da",
+    "single-occurrence": "bf325d7fbaa0d17012ca6c354b7be0559441ea6532aff243b05bfb30d0679b76",
+    "semishorten": "2c8e391aeb752bce6e9747ac46d45e8b0c51f154cfcc37a2ecc060f00145a83d",
+    "project": "c83fa2e9e052bb4fe1ae76e8f572b4a3dc0106f3f156721b5e86ad2044a3d1cf",
+    "translate": "3191661d4416ee8dfea7357629506addab6525e88d46c7f1d3f829e50a6edd98",
+}
+
+
+def _pin_runs(op):
+    from eqseq.cli import _TRANSFORMS
+
+    rng = random.Random(f"pin {op}")
+    if op == "translate":
+        jobs = [
+            (grow(rng, resolve_preset(src), depth=5), {"source": src, "target": tgt})
+            for src, tgt in _PIN_TRANSLATE
+            for _ in range(10)
+        ]
+    else:
+        spec, extra, n = _PIN_RANDOM[op]
+        jobs = [(grow(rng, spec, depth=5, allow_cut=True), extra) for _ in range(n)]
+    jobs += [(parse_derivation(text), extra) for text, extra in _PIN_FIXED.get(op, ())]
+    transform, _before = _TRANSFORMS[op]
+    out = []
+    for d, extra in jobs:
+        args = argparse.Namespace(
+            **{"preset": None, "spec": None, "prec": None, "source": None, "target": None, **extra}
+        )
+        out.append(print_derivation(d))
+        try:
+            res, target = transform(d, args, {})
+        except EqSeqError as exc:
+            out.append(f"{type(exc).__name__}: {exc}\n")
+        else:
+            out.append(f"{target.describe()}\n{print_derivation(res)}")
+    return "".join(out)
+
+
+@pytest.mark.parametrize("op", sorted(_PINNED))
+def test_transform_outputs_pinned(op):
+    text = _pin_runs(op)
+    assert hashlib.sha256(text.encode()).hexdigest() == _PINNED[op]
+
+
+def test_semishorten_target_is_the_oriented_preset():
+    assert tf.semishorten_target(PREC_HEIGHT) == PRESETS["R12prec_rlPlus"]
