@@ -960,10 +960,7 @@ def expansions(
                 succ_parts.append(
                     (s1, chosen, chosen_keys, rest[:at], rest_keys[:at], rest[at + 1 :], rest_keys[at + 1 :])
                 )
-            ctx_terms = sorted(
-                {t for s in _top_terms(ctx) for t in subterms(s)},
-                key=lambda t: (term_height(t), str(t)),
-            )
+            ctx_terms = _sorted_universe({t for s in _top_terms(ctx) for t in subterms(s)})
             for s_term in ctx_terms:
                 by_witness = [(r, Eq(r, s_term), pool.rewrites(ctx, s_term, r)) for r in terms]
                 for k, paths in enumerate(_nonempty_nonoverlapping_subsets(occurrences(ctx, s_term))):
@@ -1110,17 +1107,21 @@ def parse_spec(text: str) -> CalculusSpec:
                 raise CalculusError(f"unknown flag(s) {unknown}")
             flags = frozenset(FLAG_BY_NAME[v] for v in names)
         elif key == "prec":
-            if value == "none":
-                prec = PREC_NONE
-            elif value == "height":
-                prec = PREC_HEIGHT
-            elif value.startswith("@"):
-                prec = load_precedence_file(value[1:])
-            else:
-                raise CalculusError(f"unknown precedence {value!r}")
+            prec = parse_precedence(value)
         else:
             raise CalculusError(f"unknown spec key {key!r}")
     return CalculusSpec(base, rules, flags, prec)
+
+
+def parse_precedence(text: str) -> Precedence:
+    """``height``, ``none`` or ``@file`` (see :func:`load_precedence_file`)."""
+    if text == "height":
+        return PREC_HEIGHT
+    if text == "none":
+        return PREC_NONE
+    if text.startswith("@"):
+        return load_precedence_file(text[1:])
+    raise CalculusError(f"unknown precedence {text!r} (use height, none or @file)")
 
 
 def load_precedence_file(path: str) -> Precedence:

@@ -19,29 +19,39 @@ class Derivation:
 
     @cached_property
     def height(self) -> int:
-        # children first, over an explicit stack that stops at cached heights:
-        # a tall derivation would pass the recursion limit
-        stack = [self]
+        return self._bottom_up("height", lambda d: max((c.height + 1 for c in d.children), default=0))
+
+    def _bottom_up(self, key: str, compute):
+        """``compute(d)`` cached in ``d.__dict__[key]`` for every node ``d`` of
+        this tree that lacks it, children first, over an explicit stack that
+        stops at cached nodes: a tall derivation would pass the recursion limit."""
+        stack = [] if key in self.__dict__ else [self]
         while stack:
             d = stack[-1]
-            todo = [c for c in d.children if "height" not in c.__dict__]
+            todo = [c for c in d.children if key not in c.__dict__]
             stack += todo
             if not todo:
                 stack.pop()
-                d.__dict__["height"] = 1 + max(c.height for c in d.children) if d.children else 0
-        return self.__dict__["height"]
+                d.__dict__[key] = compute(d)
+        return self.__dict__[key]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Derivation):
             return NotImplemented
-        return (
-            self.sequent == other.sequent
-            and self.inst == other.inst
-            and self.children == other.children
-        )
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if a.sequent != b.sequent or a.inst != b.inst or len(a.children) != len(b.children):
+                return False
+            pairs += zip(a.children, b.children)
+        return True
 
     def __hash__(self) -> int:
-        return hash((self.sequent, self.inst, self.children))
+        # each node's hash is that of (sequent, instance, children), whose
+        # children hash from their cached values
+        return self._bottom_up("_hash", lambda d: hash((d.sequent, d.inst, d.children)))
 
     def nodes(self):
         """Every node, in preorder."""
@@ -100,41 +110,47 @@ def check(d: Derivation, spec: CalculusSpec) -> CheckReport:
     counts: Counter[RuleId] = Counter()
     first_error: CheckFailure | None = None
 
-    def walk(node: Derivation, path: tuple[int, ...]) -> None:
-        nonlocal first_error
+    # preorder over an explicit stack; a node's path is kept as a chain of
+    # (parent's chain, child number) links and spelled out only on an error
+    stack: list[tuple[Derivation, tuple | None]] = [(d, None)]
+    while stack:
+        node, link = stack.pop()
         counts[node.inst.rule] += 1
         if first_error is None:
-            try:
-                expected = premisses_of(node.sequent, node.inst, spec)
-            except CalculusError as exc:
-                first_error = CheckFailure(path, str(exc))
-                expected = None
-            if expected is not None:
-                if len(expected) != len(node.children):
-                    first_error = CheckFailure(
-                        path,
-                        f"{node.inst.rule.value} needs {len(expected)} premiss(es), "
-                        f"found {len(node.children)}",
-                    )
-                else:
-                    for k, (want, child) in enumerate(zip(expected, node.children)):
-                        if want != child.sequent:
-                            first_error = CheckFailure(
-                                path,
-                                f"premiss {k} of {node.inst.rule.value} should be "
-                                f"'{want}', found '{child.sequent}'",
-                            )
-                            break
-        for k, child in enumerate(node.children):
-            walk(child, path + (k,))
-
-    walk(d, ())
+            message = _node_error(node, spec)
+            if message is not None:
+                first_error = CheckFailure(_path_of(link), message)
+        children = node.children
+        for k in range(len(children) - 1, -1, -1):
+            stack.append((children[k], (link, k)))
     return CheckReport(
         valid=first_error is None,
         height=d.height,
         rule_counts=dict(counts),
         first_error=first_error,
     )
+
+
+def _node_error(node: Derivation, spec: CalculusSpec) -> str | None:
+    """Why ``node`` is not a correct inference in ``spec``, or None."""
+    try:
+        expected = premisses_of(node.sequent, node.inst, spec)
+    except CalculusError as exc:
+        return str(exc)
+    if len(expected) != len(node.children):
+        return f"{node.inst.rule.value} needs {len(expected)} premiss(es), found {len(node.children)}"
+    for k, (want, child) in enumerate(zip(expected, node.children)):
+        if want != child.sequent:
+            return f"premiss {k} of {node.inst.rule.value} should be '{want}', found '{child.sequent}'"
+    return None
+
+
+def _path_of(link: tuple | None) -> tuple[int, ...]:
+    path: list[int] = []
+    while link is not None:
+        link, k = link
+        path.append(k)
+    return tuple(reversed(path))
 
 
 def node(sequent: Sequent, inst: RuleInstance, *children: Derivation) -> Derivation:

@@ -15,15 +15,7 @@ import os
 import sys
 import time
 
-from .calculus import (
-    PRESETS,
-    Precedence,
-    PREC_HEIGHT,
-    PREC_NONE,
-    RuleId,
-    load_precedence_file,
-    resolve_spec,
-)
+from .calculus import PRESETS, RuleId, parse_precedence, resolve_spec
 from .checker import Derivation, check, stats
 from .parser import parse_derivation, parse_sequent, parse_term, print_derivation, print_sequent
 from .search import (
@@ -207,7 +199,7 @@ def _project(d, args, cfg):
 
 
 def _semishorten(d, args, cfg):
-    prec = _parse_prec(args.prec or "height")
+    prec = parse_precedence(args.prec or "height")
     return tf.semishorten(d, prec), tf.semishorten_target(prec)
 
 
@@ -261,16 +253,6 @@ def _cmd_transform(args, cfg) -> int:
         human.append(f"output derivation written to {args.out}")
     _emit(human, machine, args.json, ms)
     return 0
-
-
-def _parse_prec(text: str) -> Precedence:
-    if text == "height":
-        return PREC_HEIGHT
-    if text == "none":
-        return PREC_NONE
-    if text.startswith("@"):
-        return load_precedence_file(text[1:])
-    raise _UsageError(f"unknown precedence {text!r} (use height, none or @file)")
 
 
 def _outcome_token(outcome) -> str:

@@ -17,6 +17,7 @@ eigenparameters.  Derivation files use a parenthesized tree format
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .syntax import (
@@ -67,6 +68,9 @@ class _Token:
     span: SourceSpan
 
 
+_BLANKS = re.compile(r"[ \t\r\n]+")
+
+
 class _Lexer:
     def __init__(self, text: str):
         self.text = text
@@ -96,7 +100,15 @@ class _Lexer:
         while self.pos < len(text):
             c = text[self.pos]
             if c in " \t\r\n":
-                self._advance(1)
+                # a whole run at once: deep derivations indent by megabytes
+                end = _BLANKS.match(text, self.pos).end()
+                newline = text.rfind("\n", self.pos, end)
+                if newline < 0:
+                    self.col += end - self.pos
+                else:
+                    self.line += text.count("\n", self.pos, end)
+                    self.col = end - newline
+                self.pos = end
                 continue
             if c == "#":
                 while self.pos < len(text) and text[self.pos] != "\n":
@@ -463,18 +475,25 @@ def format_instance_args(inst: RuleInstance) -> str:
 
 
 def print_derivation(d: Derivation) -> str:
-    return _print_node(d, 0) + "\n"
-
-
-def _print_node(d: Derivation, depth: int) -> str:
-    pad = "  " * depth
-    head = f'{pad}({d.inst.rule.value} [{format_instance_args(d.inst)}] "{print_sequent(d.sequent)}"'
-    if not d.children:
-        return head + ")"
-    lines = [head]
-    for c in d.children:
-        lines.append(_print_node(c, depth + 1))
-    return "\n".join(lines) + ")"
+    """One node per line, indented two spaces a level; a node's ``)`` closes
+    its last line, so a leaf's line ends with one ``)`` for every node that
+    the leaf finishes."""
+    lines = []
+    # (node, depth, how many enclosing nodes close after it), over an explicit
+    # stack: a tall derivation would pass the recursion limit
+    stack = [(d, 0, 0)]
+    while stack:
+        n, depth, closes = stack.pop()
+        pad = "  " * depth
+        head = f'{pad}({n.inst.rule.value} [{format_instance_args(n.inst)}] "{print_sequent(n.sequent)}"'
+        if not n.children:
+            lines.append(head + ")" * (closes + 1))
+            continue
+        lines.append(head)
+        last = len(n.children) - 1
+        for k in range(last, -1, -1):
+            stack.append((n.children[k], depth + 1, closes + 1 if k == last else 0))
+    return "\n".join(lines) + "\n"
 
 
 class _DerivationParser(_Parser):
@@ -582,6 +601,21 @@ class _DerivationParser(_Parser):
         )
 
     def node(self) -> Derivation:
+        # the open nodes, innermost last, each with the children read so far:
+        # a tall derivation would pass the recursion limit
+        open_nodes: list[tuple[Sequent, RuleInstance, list[Derivation]]] = []
+        while True:
+            open_nodes.append((*self._node_head(), []))
+            while self.at(")"):
+                self.expect(")")
+                seq, inst, children = open_nodes.pop()
+                done = Derivation(seq, inst, tuple(children))
+                if not open_nodes:
+                    return done
+                open_nodes[-1][2].append(done)
+
+    def _node_head(self) -> tuple[Sequent, RuleInstance]:
+        """``(rule [args] "sequent"`` of one node."""
         self.expect("(")
         tok = self.next()
         if tok.kind != "ident" or tok.text not in RULE_BY_NAME:
@@ -595,11 +629,7 @@ class _DerivationParser(_Parser):
             sub.require_done()
         except ParseError as exc:
             raise ParseError(f"in sequent {text!r}: {exc.message}", sspan) from exc
-        children: list[Derivation] = []
-        while not self.at(")"):
-            children.append(self.node())
-        self.expect(")")
-        return Derivation(seq, inst, tuple(children))
+        return seq, inst
 
 
 def parse_derivation(text: str) -> Derivation:

@@ -169,58 +169,35 @@ def _two_param_eq_succ(seq: Sequent) -> tuple[str, str] | None:
     return e.lhs.name, e.rhs.name
 
 
-def _shape_s1(seq: Sequent) -> bool:
-    # a=c, ..., b=c, ..., c=c, ... |- a=b  with a, b, c distinct parameters
+def _shape_hub(seq: Sequent, hub: int) -> bool:
+    """``a=c, ..., b=c, ..., c=c, ... |- a=b`` (``hub`` 1) or its mirror
+    ``c=a, ..., c=b, ..., c=c, ... |- a=b`` (``hub`` 0), for distinct
+    parameters a, b, c: c sits on side ``hub`` of every antecedent equality."""
     named = _two_param_eq_succ(seq)
     if named is None:
         return False
-    a, b = named
-    cands: set[str] = set()
+    ends = []
     for f in seq.ante:
         if not isinstance(f, Eq) or not isinstance(f.lhs, Param) or not isinstance(f.rhs, Param):
             return False
         x, y = f.lhs.name, f.rhs.name
-        if x == y:
-            cands.add(x)
-        elif x in (a, b):
-            cands.add(y)
-        else:
+        if x != y and (x, y)[1 - hub] not in named:
             return False
-    if not seq.ante:
+        ends.append((x, y))
+    if not ends:
         return True
-    cands -= {a, b}
-    for c in cands:
-        allowed = {Eq(Param(a), Param(c)), Eq(Param(b), Param(c)), Eq(Param(c), Param(c))}
-        if all(f in allowed for f in seq.ante):
-            return True
-    return False
+    return any(
+        all(e[hub] == c and e[1 - hub] in (*named, c) for e in ends)
+        for c in {e[hub] for e in ends} - set(named)
+    )
+
+
+def _shape_s1(seq: Sequent) -> bool:
+    return _shape_hub(seq, 1)
 
 
 def _shape_s2(seq: Sequent) -> bool:
-    # c=a, ..., c=b, ..., c=c, ... |- a=b
-    named = _two_param_eq_succ(seq)
-    if named is None:
-        return False
-    a, b = named
-    cands: set[str] = set()
-    for f in seq.ante:
-        if not isinstance(f, Eq) or not isinstance(f.lhs, Param) or not isinstance(f.rhs, Param):
-            return False
-        x, y = f.lhs.name, f.rhs.name
-        if x == y:
-            cands.add(x)
-        elif y in (a, b):
-            cands.add(x)
-        else:
-            return False
-    if not seq.ante:
-        return True
-    cands -= {a, b}
-    for c in cands:
-        allowed = {Eq(Param(c), Param(a)), Eq(Param(c), Param(b)), Eq(Param(c), Param(c))}
-        if all(f in allowed for f in seq.ante):
-            return True
-    return False
+    return _shape_hub(seq, 0)
 
 
 def _shape_identity_pool(seq: Sequent) -> bool:
@@ -535,22 +512,15 @@ class Signature:
         params: set[str] = set()
         funcs: dict[str, int] = {}
         preds: dict[str, int] = {}
-
-        def scan_term(t: Term) -> None:
-            for s in subterms(t):
-                if isinstance(s, Param):
-                    params.add(s.name)
-                elif isinstance(s, FunApp):
-                    funcs[s.sym] = len(s.args)
-
-        for f in goal.all_formulas():
-            if isinstance(f, Atom):
-                preds[f.pred] = len(f.args)
-                for t in f.args:
-                    scan_term(t)
-            elif isinstance(f, Eq):
-                scan_term(f.lhs)
-                scan_term(f.rhs)
+        for g in (g for f in goal.all_formulas() for g in atomic_parts(f)):
+            if isinstance(g, Atom):
+                preds[g.pred] = len(g.args)
+            for t in _top_terms(g):
+                for s in subterms(t):
+                    if isinstance(s, Param):
+                        params.add(s.name)
+                    elif isinstance(s, FunApp):
+                        funcs[s.sym] = len(s.args)
         return Signature(
             tuple(sorted(params)),
             tuple(sorted(funcs.items())),

@@ -11,11 +11,11 @@ in a case table fails fast instead of looping.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .calculus import (
     CalculusError,
     CalculusSpec,
-    Flag,
     PRESETS,
     Precedence,
     RULES,
@@ -344,6 +344,7 @@ def _proj(d: Derivation, spec: CalculusSpec) -> tuple[Formula, Derivation]:
 # out in native target rules only.
 
 _LEFT_EQ_RULES = (RuleId.REP2L, RuleId.REP1L, RuleId.REP, RuleId.REPP, RuleId.REP2LP, RuleId.REP1LP)
+_RIGHT_EQ_RULES = tuple(rule for rule, sig in RULES.items() if sig.index and sig.context_side == "s")
 
 
 def _refax_node(seq: Sequent, j: int, tools: CalculusSpec) -> Derivation:
@@ -384,21 +385,17 @@ def _lw_node(child: Derivation, f: Formula) -> Derivation:
 def _seq_symm(u: Term, v: Term, tools: CalculusSpec) -> Derivation | None:
     """A target-rules derivation of ``v=u |- u=v`` (None if no right-side or
     congruence rule is available)."""
-    concl = Sequent((Eq(v, u),), (Eq(u, v),))
-    if RuleId.REP1R in tools.rules:
-        prem = Sequent(concl.ante, (Eq(v, v),))
-        return node(concl, repl_inst(RuleId.REP1R, 0, 0, [(0,)]), _refax_node(prem, 0, tools))
-    if RuleId.REP2R in tools.rules:
-        prem = Sequent(concl.ante, (Eq(u, u),))
-        return node(concl, repl_inst(RuleId.REP2R, 0, 0, [(1,)]), _refax_node(prem, 0, tools))
-    if RuleId.EQ1 in tools.rules:
-        prem = Sequent((), (Eq(v, v),))
-        return node(concl, repl_inst(RuleId.EQ1, 0, 0, [(0,)]), _refax_node(prem, 0, tools))
-    if RuleId.EQ2 in tools.rules:
-        prem = Sequent((), (Eq(u, u),))
-        return node(concl, repl_inst(RuleId.EQ2, 0, 0, [(1,)]), _refax_node(prem, 0, tools))
+    e = Eq(v, u)
+    concl = Sequent((e,), (Eq(u, v),))
+    for rule in _RIGHT_EQ_RULES:
+        if rule in tools.rules:
+            # index 1 rewrites u (the lhs) to v, index 2 rewrites v (the rhs) to u
+            sig = RULES[rule]
+            t = sig.terms(e)[1]
+            prem = Sequent(concl.ante if sig.retention == "keep" else (), (Eq(t, t),))
+            return node(concl, repl_inst(rule, 0, 0, [(sig.index - 1,)]), _refax_node(prem, 0, tools))
     if RuleId.CNG in tools.rules:
-        init = node(Sequent(concl.ante, (Eq(v, u),)), leaf(RuleId.INIT, 0, 0))
+        init = node(Sequent(concl.ante, (e,)), leaf(RuleId.INIT, 0, 0))
         ax = _refax_node(Sequent((), (Eq(v, v),)), 0, tools)
         inst = RuleInstance(
             RuleId.CNG,
@@ -425,15 +422,8 @@ def _symm_step(child: Derivation, i: int, tools: CalculusSpec) -> Derivation:
         inst = RuleInstance(RuleId.CUT, cut_formula=e, split=((i,), ()))
         return node(concl, inst, blk, child)
     # left-rule route: weaken an identity in, rewrite twice, drop the identity
-    for rule in _LEFT_EQ_RULES:
-        if rule in tools.rules:
-            try:
-                out = _symm_step_left(child, i, rule, tools)
-            except (CalculusError, TransformError):
-                continue
-            if _fragment_ok(out, tools):
-                return out
-    raise UntranslatableRuleError("no symmetry template fits the target calculus")
+    lefts = [partial(_symm_step_left, child, i, rule, tools) for rule in _LEFT_EQ_RULES if rule in tools.rules]
+    return _first_fit(lefts, tools, "no symmetry template fits the target calculus")
 
 
 def _symm_step_left(child: Derivation, i: int, rule: RuleId, tools: CalculusSpec) -> Derivation:
@@ -538,17 +528,8 @@ def _emit_right_step(
         candidates.append(lambda: _right_step_via_cng(child, concl, idx, ei, j, paths, tools))
     for rule in _LEFT_EQ_RULES:
         if rule in tools.rules:
-            candidates.append(
-                lambda rule=rule: _right_step_via_left(child, concl, idx, ei, j, paths, rule, tools)
-            )
-    for build in candidates:
-        try:
-            out = build()
-        except (CalculusError, TransformError):
-            continue
-        if _fragment_ok(out, tools):
-            return out
-    raise UntranslatableRuleError("no template simulates a succedent replacement here")
+            candidates.append(partial(_right_step_via_left, child, concl, idx, ei, j, paths, rule, tools))
+    return _first_fit(candidates, tools, "no template simulates a succedent replacement here")
 
 
 def _right_step_via_cng(child, concl, idx, ei, j, paths, tools) -> Derivation:
@@ -583,7 +564,6 @@ def _right_step_via_left(child, concl, idx, ei, j, paths, rule, tools) -> Deriva
     need_flip = lidx == idx  # same index means wrong backward direction here
     op = Eq(e.rhs, e.lhs) if need_flip else e
     bridge_concl = Sequent((op, inp), (out,))
-    bterm_concl = op.rhs if lidx == 1 else op.lhs  # term the left rule sees in its context
     if RULES[rule].keeps_context(inp):
         prem_ante = (op, inp, out)
         init = node(Sequent(prem_ante, (out,)), leaf(RuleId.INIT, 2, 0))
@@ -662,24 +642,12 @@ def _emit_left_step(
             stepped = _reorder_root(_symm_step(stepped, ei, tools), concl)
         return stepped
 
-    # 1) a left rule of the matching backward direction (same index, no flip)
-    for rule in _LEFT_EQ_RULES:
-        if rule in tools.rules and RULES[rule].index == lidx:
-            try:
-                out_d = attempt_left(rule, flip=False)
-                if _fragment_ok(out_d, tools):
-                    return out_d
-            except (CalculusError, TransformError):
-                pass
-    # 2) the other index with the operating equality flipped around it
-    for rule in _LEFT_EQ_RULES:
-        if rule in tools.rules and RULES[rule].index != lidx:
-            try:
-                out_d = attempt_left(rule, flip=True)
-                if _fragment_ok(out_d, tools):
-                    return out_d
-            except (CalculusError, TransformError):
-                pass
+    # 1) a left rule of the matching backward direction (same index, no flip),
+    # 2) then one of the other index with the operating equality flipped around it
+    lefts = sorted((r for r in _LEFT_EQ_RULES if r in tools.rules), key=lambda r: RULES[r].index != lidx)
+    out_d = _first_fit([partial(attempt_left, r, RULES[r].index != lidx) for r in lefts], tools, None)
+    if out_d is not None:
+        return out_d
     # 3) cut against a succedent-replacement bridge:  e, out |- inp
     bridge_idx = 2 if lidx == 1 else 1  # backward concl-term must be prem_term
     init = node(Sequent((e, out), (out,)), leaf(RuleId.INIT, 1, 0))
@@ -710,6 +678,21 @@ def _fragment_ok(d: Derivation, tools: CalculusSpec) -> bool:
     """Validate a template fragment shallowly: every node must be a legal
     inference of the target-plus calculus (children were validated earlier)."""
     return check(d, tools).valid
+
+
+def _first_fit(builds, tools: CalculusSpec, message: str | None) -> Derivation | None:
+    """The first template of ``builds`` that builds and checks in ``tools``.
+    If none does: UntranslatableRuleError(message), or None without a message."""
+    for build in builds:
+        try:
+            out = build()
+        except (CalculusError, TransformError):
+            continue
+        if _fragment_ok(out, tools):
+            return out
+    if message is None:
+        return None
+    raise UntranslatableRuleError(message)
 
 
 def equivalence_translate(d: Derivation, frm, to) -> Derivation:
@@ -753,7 +736,6 @@ def _translate(d: Derivation, frm: CalculusSpec, tools: CalculusSpec) -> Derivat
         return _reorder_root(_refl_step(children[0], inst.witness, tools), seq)
     if rule is RuleId.SYMM:
         (i,) = inst.principal
-        f = seq.ante[i]
         return _reorder_root(_symm_step(children[0], i, tools), seq)
     if rule is RuleId.RW:
         (j,) = inst.principal
@@ -1259,7 +1241,6 @@ def _scope_go(d: Derivation) -> Derivation:
         raise PreconditionError(f"precondition-violation: unexpected rule {d.inst.rule.value}")
     rep = d.inst.replacement
     sub = _scope_go(d.children[0])
-    inp = d.children[0].sequent.succ[0]
     out = d.sequent.succ[0]
     # replace the succedent throughout the transformed subderivation
     spine: list[Derivation] = [sub]
@@ -1432,12 +1413,12 @@ def _push_up(d0: Derivation, job: _RightJob, concl: Sequent, work: CalculusSpec)
         if i0 != job.ei:
             # rewrite the matching antecedent copy instead (the plus-rule
             # retains equality contexts, as the target calculus requires)
-            lrule = _plus_rule(2 if job.idx == 1 else 1)
+            lrule = _plus_rule(3 - job.idx)
             new_ante = replace_formula(concl.ante, i0, out)
             sub = node(Sequent(new_ante, concl.succ), leaf(RuleId.INIT, i0, job.j))
             return node(concl, repl_inst(lrule, job.ei, i0, [job.path]), sub)
         # the context equals the operating equality: two right steps suffice
-        return _operating_context_case(job, concl, e, out)
+        return _operating_context_case(job, concl, u, out)
 
     if rule is RuleId.REFAX:
         (j0,) = d0.inst.principal
@@ -1467,7 +1448,6 @@ def _push_up(d0: Derivation, job: _RightJob, concl: Sequent, work: CalculusSpec)
             not paths_overlap(rho, job.path)
         ):
             # commute below the excluded step
-            g = d00.sequent.succ[krep.context_index] if krep.context_index == job.j else None
             if krep.context_index == job.j:
                 out2 = replace_at(d00.sequent.succ[job.j], {job.path}, v, u)
             else:
@@ -1516,58 +1496,40 @@ def _push_up(d0: Derivation, job: _RightJob, concl: Sequent, work: CalculusSpec)
     raise TransformError(f"unsupported inference above an excluded step: {rule.value}")
 
 
-def _operating_context_case(job: _RightJob, concl: Sequent, e: Eq, out: Eq) -> Derivation:
+def _operating_context_case(job: _RightJob, concl: Sequent, u: Term, out: Eq) -> Derivation:
     """The initial sequent's principal pair is the operating equality itself;
-    the conclusion is reached by two same-direction right steps over a
-    reflexivity axiom."""
-    if job.idx == 1:
-        # out = Eq(l, W) with W = rhs of out; path (1,)+pi0 inside the rhs
-        if job.path[0] != 1:
-            raise TransformError("index-1 operating-context case expects a right-side path")
-        w = out.rhs
-        pi0 = job.path[1:]
-        ax = node(
-            Sequent(concl.ante, replace_formula(concl.succ, job.j, Eq(w, w))),
-            leaf(RuleId.REFAX, job.j),
-        )
-        mid = Sequent(concl.ante, replace_formula(concl.succ, job.j, Eq(e.rhs, w)))
-        n1 = node(mid, repl_inst(RuleId.REP2R, job.ei, job.j, [(0,) + pi0]), ax)
-        return node(concl, repl_inst(RuleId.REP2R, job.ei, job.j, [(0,)]), n1)
-    # mirror: out = Eq(W, r); path (0,)+pi0 inside the lhs
-    if job.path[0] != 0:
-        raise TransformError("index-2 operating-context case expects a left-side path")
-    w = out.lhs
+    the conclusion is reached by two right steps of the other index over a
+    reflexivity axiom.  ``u`` is the conclusion-side term of the excluded step."""
+    side = 2 - job.idx  # J rewrote the rhs of out (index 1) or its lhs (index 2)
+    if job.path[0] != side:
+        where = ("left", "right")[side]
+        raise TransformError(f"index-{job.idx} operating-context case expects a {where}-side path")
+    w = (out.lhs, out.rhs)[side]
     pi0 = job.path[1:]
     ax = node(
         Sequent(concl.ante, replace_formula(concl.succ, job.j, Eq(w, w))),
         leaf(RuleId.REFAX, job.j),
     )
-    mid = Sequent(concl.ante, replace_formula(concl.succ, job.j, Eq(w, e.lhs)))
-    n1 = node(mid, repl_inst(RuleId.REP1R, job.ei, job.j, [(1,) + pi0]), ax)
-    return node(concl, repl_inst(RuleId.REP1R, job.ei, job.j, [(1,)]), n1)
+    mid = Sequent(concl.ante, replace_formula(concl.succ, job.j, Eq(u, w) if side else Eq(w, u)))
+    back = _right_rule(3 - job.idx)
+    n1 = node(mid, repl_inst(back, job.ei, job.j, [(1 - side,) + pi0]), ax)
+    return node(concl, repl_inst(back, job.ei, job.j, [(1 - side,)]), n1)
 
 
-def _offending_rep1r(nd: Derivation, prec: Precedence | None) -> bool:
-    if nd.inst.rule is not RuleId.REP1R:
+def _offending(nd: Derivation, idx: int, prec: Precedence | None) -> bool:
+    """Whether ``nd`` is an index-``idx`` succedent replacement to remove: any
+    without a precedence, else an index-1 one that is not shortening or an
+    index-2 one that is lengthening."""
+    if nd.inst.rule is not _right_rule(idx):
         return False
     if prec is None:
         return True
     e = nd.sequent.ante[nd.inst.replacement.eq_index]
-    return not prec.lt(e.lhs, e.rhs)  # not shortening
-
-
-def _offending_rep2r(nd: Derivation, prec: Precedence | None) -> bool:
-    if nd.inst.rule is not RuleId.REP2R:
-        return False
-    if prec is None:
-        return True
-    e = nd.sequent.ante[nd.inst.replacement.eq_index]
-    return prec.lt(e.lhs, e.rhs)  # lengthening
+    return prec.lt(e.lhs, e.rhs) == (idx == 2)
 
 
 def _eliminate_offending(d: Derivation, work: CalculusSpec, offending) -> Derivation:
-    check_spec = work
-    d = renormalize(d, check_spec)
+    d = renormalize(d, work)
 
     def heights(nd: Derivation) -> list[int]:
         out = []
@@ -1613,22 +1575,21 @@ def eliminate_rep1r_plus(d: Derivation) -> Derivation:
     """Remove every index-1 succedent replacement from a derivation in the
     index-2 calculus with retained equality contexts; all replacement nodes
     must already be in single-occurrence mode."""
-    work = PRESETS["R2rlPlus"].with_rules(RuleId.REP1R)
-    rep = check(d, work)
-    if not rep.valid:
-        raise PreconditionError(f"input-not-in-scope: {rep.first_error}")
-    _require_single_occurrence(d)
-    return _eliminate_offending(d, work, lambda nd: _offending_rep1r(nd, None))
+    return _eliminate_right(d, 1)
 
 
 def eliminate_rep2r_plus(d: Derivation) -> Derivation:
     """The dual of :func:`eliminate_rep1r_plus`, with the indices exchanged."""
-    work = PRESETS["R1rlPlus"].with_rules(RuleId.REP2R)
+    return _eliminate_right(d, 2)
+
+
+def _eliminate_right(d: Derivation, idx: int) -> Derivation:
+    work = PRESETS["R2rlPlus" if idx == 1 else "R1rlPlus"].with_rules(_right_rule(idx))
     rep = check(d, work)
     if not rep.valid:
         raise PreconditionError(f"input-not-in-scope: {rep.first_error}")
     _require_single_occurrence(d)
-    return _eliminate_offending(d, work, lambda nd: _offending_rep2r(nd, None))
+    return _eliminate_offending(d, work, lambda nd: _offending(nd, idx, None))
 
 
 def _require_single_occurrence(d: Derivation) -> None:
@@ -1647,21 +1608,10 @@ def semishorten(d: Derivation, prec: Precedence) -> Derivation:
     if not rep.valid:
         raise PreconditionError(f"input-not-in-scope: {rep.first_error}")
     d = single_occurrence_normalize(renormalize(d, spec), spec)
-    work = CalculusSpec(
-        "none",
-        frozenset({RuleId.REFAX, RuleId.REP1R, RuleId.REP2R, RuleId.REP1LP, RuleId.REP2LP}),
+    return _eliminate_offending(
+        d, PRESETS["R12rlPlus"], lambda nd: _offending(nd, 1, prec) or _offending(nd, 2, prec)
     )
-
-    def offending(nd: Derivation) -> bool:
-        return _offending_rep1r(nd, prec) or _offending_rep2r(nd, prec)
-
-    return _eliminate_offending(d, work, offending)
 
 
 def semishorten_target(prec: Precedence) -> CalculusSpec:
-    return CalculusSpec(
-        "none",
-        frozenset({RuleId.REFAX, RuleId.REP1R, RuleId.REP2R, RuleId.REP1LP, RuleId.REP2LP}),
-        frozenset({Flag.ORIENTED}),
-        prec,
-    )
+    return replace(PRESETS["R12prec_rlPlus"], precedence=prec)

@@ -35,6 +35,19 @@ from eqseq.syntax import (
 PARAMS = tuple(Param(x) for x in "abc")
 
 
+def valid_spine(n):
+    """An R12r derivation of ``n`` nodes and height n-1: rep2r and rep1r
+    steps alternate above the initial sequent ``a=b, P(b) |- P(b)``."""
+    p_a = parse_sequent("a=b, P(b) |- P(a)")
+    p_b = parse_sequent("a=b, P(b) |- P(b)")
+    d = node(p_b, leaf(RuleId.INIT, 1, 0))
+    for k in range(n - 1):
+        # rep2r reads P(a) back as P(b), rep1r reads P(b) back as P(a)
+        rule, concl = (RuleId.REP1R, p_b) if k % 2 else (RuleId.REP2R, p_a)
+        d = node(concl, repl_inst(rule, 0, 0, [(0,)]), d)
+    return d
+
+
 def random_term(rng: random.Random, funcs=("f",), max_height: int = 2):
     if max_height == 0 or rng.random() < 0.55:
         return rng.choice(PARAMS)

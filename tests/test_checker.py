@@ -1,8 +1,9 @@
 import pathlib
 
+from corpus import valid_spine
 from eqseq.calculus import PRESETS, RuleId, leaf, repl_inst, resolve_spec
 from eqseq.checker import check, node, stats
-from eqseq.parser import parse_derivation, parse_sequent
+from eqseq.parser import parse_derivation, parse_sequent, print_derivation
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -59,6 +60,14 @@ def test_tall_derivation_walks_without_recursion():
     assert len(nodes) == 10_000 and nodes[0] is d and nodes[-1].inst.rule is RuleId.REFAX
     assert d.height == 9_999 and nodes[1].height == 9_998
     assert d.rules_used() == {RuleId.REP2R, RuleId.REFAX}
+    # a valid spine of as many nodes checks, prints, parses back and hashes
+    tall = valid_spine(10_000)
+    rep = check(tall, PRESETS["R12r"])
+    assert rep.valid and rep.height == 9_999
+    assert rep.rule_counts == {RuleId.REP2R: 5_000, RuleId.REP1R: 4_999, RuleId.INIT: 1}
+    back = parse_derivation(print_derivation(tall))
+    assert back == tall and back is not tall
+    assert hash(back) == hash(tall)
 
 
 def test_nodes_in_preorder():

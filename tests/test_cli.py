@@ -1,9 +1,10 @@
 import json
 import re
 
+from corpus import valid_spine
 from eqseq.cli import run
 from eqseq.checker import check
-from eqseq.parser import parse_derivation
+from eqseq.parser import parse_derivation, print_derivation
 from eqseq.calculus import PRESETS, RuleId
 
 
@@ -152,6 +153,24 @@ def test_uncaught_exception_exits_2_with_one_line(capsys, monkeypatch):
     deep = "f(" * 300 + "a" + ")" * 300
     code, _, err = invoke(capsys, "prove", f"{deep} = b |- b = {deep}", "--preset", "R12r")
     assert code == 0 or (code, err.count("\n"), err[:7]) == (2, 1, "error: ")
+
+
+def test_check_deep_derivation_file(tmp_path, capsys):
+    # 5,000 levels, far past the recursion limit: a verdict, never exit 2
+    drv = tmp_path / "deep.drv"
+    drv.write_text(print_derivation(valid_spine(5_000)))
+    code, out, err = invoke(capsys, "check", str(drv), "--preset", "R12r")
+    assert (code, err) == (0, "")
+    assert "result: valid" in out and "height: 4999" in out
+
+
+def test_unknown_precedence_exits_2(tmp_path, capsys):
+    drv = tmp_path / "d.drv"
+    drv.write_text('(refax [0] "|- t = t")\n')
+    code, _, err = invoke(capsys, "transform", str(drv), "semishorten", "--prec", "depth")
+    assert (code, err) == (2, "error: unknown precedence 'depth' (use height, none or @file)\n")
+    code, _, err = invoke(capsys, "check", str(drv), "--spec", "base=none rules=refax prec=depth")
+    assert (code, err) == (2, "error: unknown precedence 'depth' (use height, none or @file)\n")
 
 
 def test_reports_deterministic_modulo_timing(capsys):
