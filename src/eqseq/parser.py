@@ -18,6 +18,7 @@ eigenparameters.  Derivation files use a parenthesized tree format
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .syntax import (
@@ -61,93 +62,80 @@ class ArityConflictError(ParseError):
     pass
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident" | "punct" | "string" | "int"
-    text: str
-    span: SourceSpan
+# A token is ``(kind, text, start, end)``: kind is "ident", "punct", "string"
+# or "int"; a string's text is its contents without the quotes.
+_Token = tuple[str, str, int, int]
 
-
-_BLANKS = re.compile(r"[ \t\r\n]+")
+# One pass of one regex reads the tokens; blanks and comments match to be
+# skipped.  ``str.isdigit`` and ``str.isalpha`` decide what a token is, and
+# no regex class matches them beyond ASCII: any other character falls to
+# ``other`` and is classed with them.  An ASCII digit run goes there too when
+# a non-ASCII character follows it, which ``isdigit`` may accept into the
+# run.  ``\w`` is exactly ``isalnum`` or ``_``.
+# A leading ``_`` marks a generated eigenparameter; the reserved-name check
+# rejects it in user-facing input.
+_TOKEN = re.compile(
+    r"""(?P<blank>[ \t\r\n]+)
+      | (?P<comment>\#[^\n]*)
+      | (?P<string>"[^"]*")
+      | (?P<punct>\|-|->|[(),=&|.\[\];])
+      | (?P<int>[0-9]+(?![0-9]|[^\x00-\x7f]))
+      | (?P<ident>[A-Za-z_][\w'+]*)
+      | (?P<other>.)""",
+    re.S | re.X,
+)
+_IDENT_TAIL = re.compile(r"[\w'+]*")
+_NEWLINE = re.compile(r"\n")
 
 
 class _Lexer:
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+        self._newlines: list[int] | None = None
         self.tokens: list[_Token] = []
         self._run()
 
-    def _span(self, start: int, startline: int, startcol: int) -> SourceSpan:
-        return SourceSpan(start, self.pos, startline, startcol)
-
-    def _error(self, msg: str) -> ParseError:
-        return ParseError(msg, SourceSpan(self.pos, self.pos + 1, self.line, self.col))
-
-    def _advance(self, n: int) -> None:
-        for _ in range(n):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
+    def span(self, start: int, end: int) -> SourceSpan:
+        """``start``..``end`` with the line and column of ``start``, found by
+        bisection in an index of the newlines built on the first request."""
+        if self._newlines is None:
+            self._newlines = [m.start() for m in _NEWLINE.finditer(self.text)]
+        k = bisect_left(self._newlines, start)
+        return SourceSpan(start, end, k + 1, start - (self._newlines[k - 1] if k else -1))
 
     def _run(self) -> None:
+        text, tokens, match = self.text, self.tokens, _TOKEN.match
+        pos, n = 0, len(text)
+        while pos < n:
+            m = match(text, pos)
+            kind, end = m.lastgroup, m.end()
+            if kind == "blank" or kind == "comment":
+                pos = end
+                continue
+            if kind == "string":
+                tokens.append((kind, text[pos + 1 : end - 1], pos, end))
+                pos = end
+                continue
+            if kind == "other":
+                kind, end = self._other(pos)
+            tokens.append((kind, text[pos:end], pos, end))
+            pos = end
+
+    def _other(self, pos: int) -> tuple[str, int]:
+        """Kind and end of the token at a character the regex leaves to
+        ``str`` methods."""
         text = self.text
-        while self.pos < len(text):
-            c = text[self.pos]
-            if c in " \t\r\n":
-                # a whole run at once: deep derivations indent by megabytes
-                end = _BLANKS.match(text, self.pos).end()
-                newline = text.rfind("\n", self.pos, end)
-                if newline < 0:
-                    self.col += end - self.pos
-                else:
-                    self.line += text.count("\n", self.pos, end)
-                    self.col = end - newline
-                self.pos = end
-                continue
-            if c == "#":
-                while self.pos < len(text) and text[self.pos] != "\n":
-                    self._advance(1)
-                continue
-            start, sl, sc = self.pos, self.line, self.col
-            if c == '"':
-                self._advance(1)
-                buf = []
-                while self.pos < len(text) and text[self.pos] != '"':
-                    buf.append(text[self.pos])
-                    self._advance(1)
-                if self.pos >= len(text):
-                    raise self._error("unterminated string")
-                self._advance(1)
-                self.tokens.append(_Token("string", "".join(buf), self._span(start, sl, sc)))
-                continue
-            two = text[self.pos : self.pos + 2]
-            if two in ("|-", "->"):
-                self._advance(2)
-                self.tokens.append(_Token("punct", two, self._span(start, sl, sc)))
-                continue
-            if c in "(),=&|.[];":
-                self._advance(1)
-                self.tokens.append(_Token("punct", c, self._span(start, sl, sc)))
-                continue
-            if c.isdigit():
-                while self.pos < len(text) and text[self.pos].isdigit():
-                    self._advance(1)
-                self.tokens.append(_Token("int", text[start : self.pos], self._span(start, sl, sc)))
-                continue
-            if c.isalpha() or c == "_":
-                # a leading underscore marks generated eigenparameters; it is
-                # rejected in user-facing input by the reserved-name check
-                while self.pos < len(text) and (text[self.pos].isalnum() or text[self.pos] in "_'+"):
-                    self._advance(1)
-                self.tokens.append(_Token("ident", text[start : self.pos], self._span(start, sl, sc)))
-                continue
-            raise self._error(f"unexpected character {c!r}")
+        c = text[pos]
+        if c.isdigit():
+            end = pos + 1
+            while end < len(text) and text[end].isdigit():
+                end += 1
+            return "int", end
+        if c.isalpha():
+            return "ident", _IDENT_TAIL.match(text, pos + 1).end()
+        if c == '"':
+            raise ParseError("unterminated string", self.span(len(text), len(text) + 1))
+        raise ParseError(f"unexpected character {c!r}", self.span(pos, pos + 1))
 
 
 class _Parser:
@@ -155,20 +143,27 @@ class _Parser:
 
     A single parser instance tracks function/predicate arities, so arity
     consistency is enforced across one parse call (e.g. a whole ``.drv`` file).
+    ``formulas`` maps the text of each top-level sequent formula parsed so far
+    to its value; the sub-parsers of one ``.drv`` file share both.
     """
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _Lexer(text).tokens
+        self.lexer = _Lexer(text)
+        self.tokens = self.lexer.tokens
         self.i = 0
         self.fun_arity: dict[str, int] = {}
         self.pred_arity: dict[str, int] = {}
+        self.formulas: dict[str, Formula] = {}
 
     # -- token plumbing
 
+    def _span(self, tok: _Token) -> SourceSpan:
+        return self.lexer.span(tok[2], tok[3])
+
     def _eof_span(self) -> SourceSpan:
         if self.tokens:
-            last = self.tokens[-1].span
+            last = self._span(self.tokens[-1])
             return SourceSpan(last.end, last.end, last.line, last.column)
         return SourceSpan(0, 0, 1, 1)
 
@@ -184,13 +179,12 @@ class _Parser:
 
     def expect(self, text: str) -> _Token:
         tok = self.next()
-        if tok.text != text or tok.kind not in ("punct", "ident"):
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.span)
+        if tok[1] != text or tok[0] not in ("punct", "ident"):
+            raise ParseError(f"expected {text!r}, found {tok[1]!r}", self._span(tok))
         return tok
 
     def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.text == text
+        return self.i < len(self.tokens) and self.tokens[self.i][1] == text
 
     def done(self) -> bool:
         return self.i >= len(self.tokens)
@@ -198,31 +192,33 @@ class _Parser:
     def require_done(self) -> None:
         tok = self.peek()
         if tok is not None:
-            raise ParseError(f"trailing input {tok.text!r}", tok.span)
+            raise ParseError(f"trailing input {tok[1]!r}", self._span(tok))
 
     # -- arity bookkeeping
 
-    def _check_fun(self, name: str, arity: int, span: SourceSpan) -> None:
-        seen = self.fun_arity.setdefault(name, arity)
+    def _check_fun(self, tok: _Token, arity: int) -> None:
+        seen = self.fun_arity.setdefault(tok[1], arity)
         if seen != arity:
             raise ArityConflictError(
-                f"arity-conflict: function {name} used with {arity} args, earlier {seen}", span
+                f"arity-conflict: function {tok[1]} used with {arity} args, earlier {seen}",
+                self._span(tok),
             )
 
-    def _check_pred(self, name: str, arity: int, span: SourceSpan) -> None:
-        seen = self.pred_arity.setdefault(name, arity)
+    def _check_pred(self, tok: _Token, arity: int) -> None:
+        seen = self.pred_arity.setdefault(tok[1], arity)
         if seen != arity:
             raise ArityConflictError(
-                f"arity-conflict: predicate {name} used with {arity} args, earlier {seen}", span
+                f"arity-conflict: predicate {tok[1]} used with {arity} args, earlier {seen}",
+                self._span(tok),
             )
 
     # -- terms
 
     def term(self, bound: frozenset[str]) -> Term:
         tok = self.next()
-        if tok.kind != "ident" or not (tok.text[0].islower() or tok.text[0] == "_"):
-            raise ParseError(f"expected a term, found {tok.text!r}", tok.span)
-        name = tok.text
+        kind, name = tok[0], tok[1]
+        if kind != "ident" or not (name[0].islower() or name[0] == "_"):
+            raise ParseError(f"expected a term, found {name!r}", self._span(tok))
         if self.at("("):
             self.expect("(")
             args: list[Term] = []
@@ -232,7 +228,7 @@ class _Parser:
                     self.expect(",")
                     args.append(self.term(bound))
             self.expect(")")
-            self._check_fun(name, len(args), tok.span)
+            self._check_fun(tok, len(args))
             return FunApp(name, tuple(args))
         if name in bound:
             return BoundVar(name)
@@ -268,23 +264,24 @@ class _Parser:
         tok = self.peek()
         if tok is None:
             raise ParseError("expected a formula", self._eof_span())
-        if tok.text == "(":
+        kind, text = tok[0], tok[1]
+        if text == "(":
             self.expect("(")
             f = self.formula(bound)
             self.expect(")")
             return f
-        if tok.kind == "ident" and tok.text in ("forall", "exists"):
+        if kind == "ident" and text in ("forall", "exists"):
             self.next()
             var = self.next()
-            if var.kind != "ident" or not var.text[0].islower():
-                raise ParseError("expected a bound variable name", var.span)
+            if var[0] != "ident" or not var[1][0].islower():
+                raise ParseError("expected a bound variable name", self._span(var))
             self.expect(".")
-            body = self.formula(bound | {var.text})
-            return Forall(var.text, body) if tok.text == "forall" else Exists(var.text, body)
-        if tok.kind == "ident" and tok.text == "bot":
+            body = self.formula(bound | {var[1]})
+            return Forall(var[1], body) if text == "forall" else Exists(var[1], body)
+        if kind == "ident" and text == "bot":
             self.next()
             return BOT
-        if tok.kind == "ident" and tok.text[0].isupper():
+        if kind == "ident" and text[0].isupper():
             self.next()
             args: list[Term] = []
             if self.at("("):
@@ -294,8 +291,8 @@ class _Parser:
                     self.expect(",")
                     args.append(self.term(bound))
                 self.expect(")")
-            self._check_pred(tok.text, len(args), tok.span)
-            return Atom(tok.text, tuple(args))
+            self._check_pred(tok, len(args))
+            return Atom(text, tuple(args))
         # must be an equality
         lhs = self.term(bound)
         self.expect("=")
@@ -307,20 +304,48 @@ class _Parser:
     def parse_sequent_body(self) -> Sequent:
         ante: list[Formula] = []
         if not self.at("|-"):
-            ante.append(self.formula())
+            ante.append(self._sequent_formula())
             while self.at(","):
                 self.expect(",")
-                ante.append(self.formula())
+                ante.append(self._sequent_formula())
         self.expect("|-")
         succ: list[Formula] = []
         if not self.done() and not self.at(")"):
-            tok = self.peek()
-            if tok is not None and tok.text not in (")",):
-                succ.append(self.formula())
-                while self.at(","):
-                    self.expect(",")
-                    succ.append(self.formula())
+            succ.append(self._sequent_formula())
+            while self.at(","):
+                self.expect(",")
+                succ.append(self._sequent_formula())
         return Sequent(tuple(ante), tuple(succ))
+
+    def _sequent_formula(self) -> Formula:
+        """One formula of a sequent, which ends at the next ``,`` or ``|-``
+        outside parentheses.  Its text is parsed with no bound variables, so
+        equal text is an equal formula: a text parsed before is looked up in
+        ``formulas``, and only a text that parsed whole up to that end is
+        entered.  Every error therefore comes from a first occurrence."""
+        tokens, i = self.tokens, self.i
+        j, depth = i, 0
+        while j < len(tokens):
+            kind, text = tokens[j][0], tokens[j][1]
+            if kind == "punct":
+                if text == "(":
+                    depth += 1
+                elif text == ")":
+                    depth -= 1
+                elif depth == 0 and (text == "," or text == "|-"):
+                    break
+            j += 1
+        if j == i:
+            return self.formula()
+        key = self.text[tokens[i][2] : tokens[j - 1][3]]
+        f = self.formulas.get(key)
+        if f is not None:
+            self.i = j
+            return f
+        f = self.formula()
+        if self.i == j:
+            self.formulas[key] = f
+        return f
 
 
 def _rename_binders_apart(f: Formula) -> Formula:
@@ -364,17 +389,17 @@ def _rename_binders_apart(f: Formula) -> Formula:
     return walk(f, {})
 
 
-def _check_reserved(text: str, p: _Parser) -> None:
+def _check_reserved(p: _Parser) -> None:
     for tok in p.tokens:
-        if tok.kind == "ident" and tok.text.startswith("_"):
+        if tok[0] == "ident" and tok[1].startswith("_"):
             raise ParseError(
-                f"identifier {tok.text!r} is reserved for generated eigenparameters", tok.span
+                f"identifier {tok[1]!r} is reserved for generated eigenparameters", p._span(tok)
             )
 
 
 def parse_term(text: str) -> Term:
     p = _Parser(text)
-    _check_reserved(text, p)
+    _check_reserved(p)
     t = p.term(frozenset())
     p.require_done()
     return t
@@ -382,7 +407,7 @@ def parse_term(text: str) -> Term:
 
 def parse_formula(text: str) -> Formula:
     p = _Parser(text)
-    _check_reserved(text, p)
+    _check_reserved(p)
     f = p.formula()
     p.require_done()
     return _rename_binders_apart(f)
@@ -390,7 +415,7 @@ def parse_formula(text: str) -> Formula:
 
 def parse_sequent(text: str) -> Sequent:
     p = _Parser(text)
-    _check_reserved(text, p)
+    _check_reserved(p)
     s = p.parse_sequent_body()
     p.require_done()
     return Sequent(
@@ -501,13 +526,14 @@ class _DerivationParser(_Parser):
         sub = _Parser(text)
         sub.fun_arity = self.fun_arity
         sub.pred_arity = self.pred_arity
+        sub.formulas = self.formulas
         return sub
 
     def _int(self) -> int:
         tok = self.next()
-        if tok.kind != "int":
-            raise ParseError(f"expected an index, found {tok.text!r}", tok.span)
-        return int(tok.text)
+        if tok[0] != "int":
+            raise ParseError(f"expected an index, found {tok[1]!r}", self._span(tok))
+        return int(tok[1])
 
     def _index_csv(self) -> tuple[int, ...]:
         parts: list[int] = []
@@ -535,24 +561,23 @@ class _DerivationParser(_Parser):
             paths.append(self._path())
         return tuple(paths)
 
-    def _string(self) -> tuple[str, SourceSpan]:
+    def _string(self) -> _Token:
         tok = self.next()
-        if tok.kind != "string":
-            raise ParseError(f"expected a quoted string, found {tok.text!r}", tok.span)
-        return tok.text, tok.span
+        if tok[0] != "string":
+            raise ParseError(f"expected a quoted string, found {tok[1]!r}", self._span(tok))
+        return tok
 
     def _name(self) -> str:
         tok = self.next()
-        if tok.kind != "ident":
-            raise ParseError(f"expected a name, found {tok.text!r}", tok.span)
-        return tok.text
+        if tok[0] != "ident":
+            raise ParseError(f"expected a name, found {tok[1]!r}", self._span(tok))
+        return tok[1]
 
     def _quoted(self) -> _Parser:
         """A parser over the next quoted string, sharing this one's arities."""
-        text, _span = self._string()
-        return self._sub(text)
+        return self._sub(self._string()[1])
 
-    def instance_args(self, rule: RuleId, span: SourceSpan) -> RuleInstance:
+    def instance_args(self, rule: RuleId, rule_tok: _Token) -> RuleInstance:
         """The ``[...]`` arguments in the order :func:`format_instance_args`
         prints them."""
         sig = RULES[rule]
@@ -585,7 +610,7 @@ class _DerivationParser(_Parser):
             else:  # eq_index, context_index
                 got[field] = self._int()
         if "paths" in got and not got["paths"]:
-            raise ParseError("malformed instance args: empty path list", span)
+            raise ParseError("malformed instance args: empty path list", self._span(rule_tok))
         self.expect("]")
         replacement = None
         if "paths" in got:
@@ -618,17 +643,17 @@ class _DerivationParser(_Parser):
         """``(rule [args] "sequent"`` of one node."""
         self.expect("(")
         tok = self.next()
-        if tok.kind != "ident" or tok.text not in RULE_BY_NAME:
-            raise ParseError(f"unknown rule id {tok.text!r}", tok.span)
-        rule = RULE_BY_NAME[tok.text]
-        inst = self.instance_args(rule, tok.span)
-        text, sspan = self._string()
-        sub = self._sub(text)
+        if tok[0] != "ident" or tok[1] not in RULE_BY_NAME:
+            raise ParseError(f"unknown rule id {tok[1]!r}", self._span(tok))
+        rule = RULE_BY_NAME[tok[1]]
+        inst = self.instance_args(rule, tok)
+        string = self._string()
+        sub = self._sub(string[1])
         try:
             seq = sub.parse_sequent_body()
             sub.require_done()
         except ParseError as exc:
-            raise ParseError(f"in sequent {text!r}: {exc.message}", sspan) from exc
+            raise ParseError(f"in sequent {string[1]!r}: {exc.message}", self._span(string)) from exc
         return seq, inst
 
 

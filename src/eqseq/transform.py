@@ -16,6 +16,7 @@ from functools import partial
 from .calculus import (
     CalculusError,
     CalculusSpec,
+    PREC_NONE,
     PRESETS,
     Precedence,
     RULES,
@@ -1614,4 +1615,9 @@ def semishorten(d: Derivation, prec: Precedence) -> Derivation:
 
 
 def semishorten_target(prec: Precedence) -> CalculusSpec:
+    """The calculus :func:`semishorten`'s output is checked in.  Under the
+    empty precedence no index-1 replacement is shortening, so none remains
+    and the output lies in ``R2rlPlus``; an oriented spec needs a precedence."""
+    if prec == PREC_NONE:
+        return PRESETS["R2rlPlus"]
     return replace(PRESETS["R12prec_rlPlus"], precedence=prec)

@@ -181,8 +181,11 @@ def _forward_cut(rng, d1: Derivation, spec, funcs, max_height) -> Derivation | N
     base_ante = (a, random_atomic(rng, funcs=funcs, max_height=max_height))
     p = random_atomic(rng, funcs=funcs, max_height=max_height)
     d2 = node(Sequent(base_ante + (p,), (p,)), leaf(RuleId.INIT, 2, 0))
-    for _ in range(rng.randint(0, 2)):
-        nxt = _forward_right(rng, d2, rng.choice((RuleId.REP1R, RuleId.REP2R)), spec)
+    # only the succedent replacement rules of ``spec``; with both, the draws
+    # are those of a choice between the two
+    rules = tuple(r for r in (RuleId.REP1R, RuleId.REP2R) if r in spec.rules)
+    for _ in range(rng.randint(0, 2) if rules else 0):
+        nxt = _forward_right(rng, d2, rng.choice(rules), spec)
         if nxt is not None:
             d2 = nxt
     seq1, seq2 = d1.sequent, d2.sequent

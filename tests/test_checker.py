@@ -1,6 +1,7 @@
 import pathlib
+import random
 
-from corpus import valid_spine
+from corpus import grow, valid_spine
 from eqseq.calculus import PRESETS, RuleId, leaf, repl_inst, resolve_spec
 from eqseq.checker import check, node, stats
 from eqseq.parser import parse_derivation, parse_sequent, print_derivation
@@ -151,3 +152,11 @@ def test_quantifier_round_trip_and_checking():
     from eqseq.parser import print_derivation
 
     assert print_derivation(d) == text
+
+
+def test_grown_cuts_use_only_the_specs_succedent_rules():
+    spec = PRESETS["R1rlPlus"].with_rules(RuleId.CUT, RuleId.LC, RuleId.LW)
+    rng = random.Random(3)
+    grown = [grow(rng, spec, depth=6, allow_cut=True) for _ in range(60)]
+    used = set().union(*(d.rules_used() for d in grown))
+    assert RuleId.CUT in used and RuleId.REP1R in used and RuleId.REP2R not in used

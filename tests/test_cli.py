@@ -207,6 +207,19 @@ def test_semishorten_with_explicit_precedence_file(tmp_path, capsys):
     assert check(d, target).valid
 
 
+def test_semishorten_empty_precedence(tmp_path, capsys):
+    drv = tmp_path / "t.drv"
+    code, _, _ = invoke(capsys, "prove", "--preset", "R12r", "a = b, P(a) |- P(b)", "-o", str(drv))
+    assert code == 0
+    out_file = tmp_path / "out.drv"
+    code, out, err = invoke(
+        capsys, "transform", str(drv), "semishorten", "--prec", "none", "-o", str(out_file)
+    )
+    assert (code, err) == (0, "")
+    assert "target: base=none rules=refax,rep2lp,rep2r flags=- prec=none" in out
+    assert check(parse_derivation(out_file.read_text()), PRESETS["R2rlPlus"]).valid
+
+
 def test_spec_string_with_precedence_file(tmp_path, capsys):
     prec = tmp_path / "prec.txt"
     prec.write_text("a < f(a)\n")

@@ -1,7 +1,7 @@
 import pathlib
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from eqseq.parser import (
     ArityConflictError,
@@ -247,3 +247,126 @@ def test_random_derivations_round_trip():
         text = print_derivation(d)
         assert parse_derivation(text) == d
         assert print_derivation(parse_derivation(text)) == text
+
+
+# -- the one-pass lexer against the character-by-character reference
+
+
+def _lex(tokens_of, text):
+    try:
+        return tokens_of(text)
+    except ParseError as exc:
+        return ("error", exc.message, exc.span)
+
+
+def _regex_tokens(text):
+    from eqseq.parser import _Lexer
+
+    lexer = _Lexer(text)
+    return [(kind, tok, lexer.span(start, end)) for kind, tok, start, end in lexer.tokens]
+
+
+_LEXER_PIECES = [
+    "a", "P", "f", "x1", "_e", "'", "+", "forall", " ", "  ", "\n", "\t", "\r", "#", "# c\n",
+    '"', '"a, b |- c"', "|-", "->", "|", "-", "(", ")", ",", "=", "&", ".", "[", "]", ";",
+    "0", "12", "é", "ä", "²", "Ⅷ", "٣", "\xa0",
+]
+
+
+@settings(max_examples=400)
+@given(st.lists(st.one_of(st.sampled_from(_LEXER_PIECES), st.characters()), max_size=40))
+def test_lexer_matches_character_reference(pieces):
+    from lexer_reference import reference_tokens
+
+    text = "".join(pieces)
+    assert _lex(_regex_tokens, text) == _lex(reference_tokens, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['a # "b" c\n"d # e" f', '"x\ny" z', "12²3 ²a é1", "a |-> b -|", "P(a) #", '"open'],
+)
+def test_lexer_matches_character_reference_on(text):
+    from lexer_reference import reference_tokens
+
+    assert _lex(_regex_tokens, text) == _lex(reference_tokens, text)
+
+
+def test_lexer_classes_every_character_like_the_reference():
+    from lexer_reference import reference_tokens
+
+    codes = [*range(0x3000), *range(0x3000, 0x110000, 89)]
+    for c in (chr(k) for k in codes if not 0xD800 <= k < 0xE000):
+        text = f"a{c}1{c} 1{c}(23{c}\n{c}b # {c}"
+        assert _lex(_regex_tokens, text) == _lex(reference_tokens, text), repr(c)
+
+
+def test_lexer_matches_reference_on_golden_files():
+    from lexer_reference import reference_tokens
+
+    for path in sorted(GOLDEN.glob("*.drv")):
+        text = path.read_text(encoding="utf-8")
+        tokens = reference_tokens(text)
+        assert _regex_tokens(text) == tokens, path.name
+        for kind, string, _ in tokens:
+            if kind == "string":
+                assert _regex_tokens(string) == reference_tokens(string), path.name
+
+
+def test_non_ascii_tokens():
+    assert parse_sequent("é = b |- P(é)").succ == (Atom("P", (Param("é"),)),)
+    with pytest.raises(ParseError) as err:
+        parse_formula("a = ²")
+    assert err.value.message == "expected a term, found '²'"
+    with pytest.raises(ParseError) as err:
+        parse_formula("a =\n Ⅷ")
+    assert err.value.message == "unexpected character 'Ⅷ'"
+    assert (err.value.span.line, err.value.span.column) == (2, 2)
+
+
+# -- the per-file formula table
+
+_SEQUENT_FORMULAS = [
+    "P(a)", "P(a, b)", "P ( a )", "Q", "f(a) = b", "f(a, b) = a", "a = a", "P(f(a))", "bot",
+    "forall x. P(x)", "P(x)", "P(a) & Q", "(P(a))", "P(a) -> Q", "P(a", "a", "", "a = b # c",
+    "_e1 = a", "P(a))",
+]
+
+
+def _drv_text(sequents):
+    lines = []
+    for depth, (ante, succ) in enumerate(sequents):
+        rule = "init [0;0]" if depth == len(sequents) - 1 else "land [0]"
+        lines.append(f'{"  " * depth}({rule} "{", ".join(ante)} |- {", ".join(succ)}"')
+    return "\n".join(lines) + ")" * len(sequents) + "\n"
+
+
+def _parsed(text):
+    try:
+        return parse_derivation(text)
+    except ParseError as exc:
+        return (type(exc), exc.message, exc.span)
+
+
+_sides = st.lists(st.sampled_from(_SEQUENT_FORMULAS), max_size=3)
+
+
+@given(st.lists(st.tuples(_sides, _sides), min_size=1, max_size=5))
+def test_formula_table_changes_no_result(sequents):
+    from unittest import mock
+
+    from eqseq.parser import _Parser
+
+    text = _drv_text(sequents)
+    with mock.patch.object(_Parser, "_sequent_formula", lambda self: self.formula()):
+        want = _parsed(text)
+    assert _parsed(text) == want
+
+
+def test_formula_table_shares_repeated_formulas():
+    d = parse_derivation('(land [0] "P(a), R(a, f(b)) |- P(a)"\n  (init [0;0] "P(a), R(a, f(b)) |- R(a, f(b))"))\n')
+    assert d.sequent.ante[0] is d.sequent.succ[0] is d.children[0].sequent.ante[0]
+    assert d.sequent.ante[1] is d.children[0].sequent.ante[1] is d.children[0].sequent.succ[0]
+    with pytest.raises(ParseError) as err:
+        parse_derivation('(land [0] "P(a), f(a) = b |- P(a)"\n  (init [0;0] "P(a, b), f(a) = b |- P(a)"))\n')
+    assert "arity-conflict: predicate P used with 2 args, earlier 1" in err.value.message

@@ -627,3 +627,5 @@ def test_transform_outputs_pinned(op):
 
 def test_semishorten_target_is_the_oriented_preset():
     assert tf.semishorten_target(PREC_HEIGHT) == PRESETS["R12prec_rlPlus"]
+    # no precedence: the index-2 half, as semishorten's output under it
+    assert tf.semishorten_target(PREC_NONE) == PRESETS["R2rlPlus"]
