@@ -18,17 +18,9 @@ import time
 from .calculus import PRESETS, RuleId, parse_precedence, resolve_spec
 from .checker import Derivation, check, stats
 from .parser import parse_derivation, parse_sequent, parse_term, print_derivation, print_sequent
-from .search import (
-    DecidedUnderivable,
-    Exhausted,
-    Proved,
-    SearchLimits,
-    chain_to_derivation,
-    decide_function_free,
-    prove,
-)
 from .syntax import EqSeqError
-from . import transform as tf
+# loaded on first use (see ``eqseq/__init__.py``): look names up as commands run
+from . import search, transform as tf
 
 
 class _UsageError(Exception):
@@ -73,7 +65,7 @@ def _counts(d: Derivation) -> dict[str, int]:
     return {r.value: n for r, n in stats(d).rule_counts.items()}
 
 
-def _limits(args, cfg) -> SearchLimits:
+def _limits(args, cfg) -> search.SearchLimits:
     depth = args.depth if args.depth is not None else int(cfg.get("depth", 6))
     th = args.term_height if args.term_height is not None else int(cfg.get("term_height", 3))
     budget = args.budget if args.budget is not None else int(cfg.get("budget", 100_000))
@@ -86,7 +78,7 @@ def _limits(args, cfg) -> SearchLimits:
                 if line.split("#", 1)[0].strip()
             ]
         universe = frozenset(terms)
-    return SearchLimits(max_depth=depth, term_height=th, universe=universe, node_budget=budget)
+    return search.SearchLimits(max_depth=depth, term_height=th, universe=universe, node_budget=budget)
 
 
 def _spec_of(args, cfg):
@@ -128,9 +120,9 @@ def _cmd_prove(args, cfg) -> int:
     goal = parse_sequent(args.sequent)
     lim = _limits(args, cfg)
     t0 = time.monotonic()
-    outcome = prove(goal, spec, lim)
+    outcome = search.prove(goal, spec, lim)
     ms = int((time.monotonic() - t0) * 1000)
-    if isinstance(outcome, Proved):
+    if isinstance(outcome, search.Proved):
         d = outcome.derivation
         machine = {"result": "proved", "height": d.height, "counts": _counts(d)}
         human = [f"proved: {print_sequent(goal)}"]
@@ -139,7 +131,7 @@ def _cmd_prove(args, cfg) -> int:
             human.append(f"derivation written to {args.out}")
         _emit(human, machine, args.json, ms)
         return 0
-    if isinstance(outcome, DecidedUnderivable):
+    if isinstance(outcome, search.DecidedUnderivable):
         _emit(
             [f"underivable: {print_sequent(goal)} ({outcome.reason})"],
             {"result": "underivable", "reason": outcome.reason},
@@ -158,10 +150,11 @@ def _cmd_prove(args, cfg) -> int:
 
 def _cmd_decide(args, cfg) -> int:
     goal = parse_sequent(args.sequent)
+    decide = search.decide_function_free  # the first lookup loads search: not timed
     t0 = time.monotonic()
-    plan = decide_function_free(goal)
+    plan = decide(goal)
     ms = int((time.monotonic() - t0) * 1000)
-    if isinstance(plan, DecidedUnderivable):
+    if isinstance(plan, search.DecidedUnderivable):
         _emit(
             [f"underivable: {print_sequent(goal)} ({plan.reason})"],
             {"result": "underivable", "reason": plan.reason},
@@ -174,7 +167,7 @@ def _cmd_decide(args, cfg) -> int:
     if plan.witness_index is not None:
         machine["witness"] = str(goal.ante[plan.witness_index])
     if args.out:
-        d = chain_to_derivation(plan)
+        d = search.chain_to_derivation(plan)
         _write_drv(args.out, d)
         machine["height"] = d.height
         human.append(f"oriented witness derivation written to {args.out}")
@@ -236,9 +229,10 @@ def _cmd_transform(args, cfg) -> int:
         d = parse_derivation(fh.read())
     op = args.op
     transform, before = _TRANSFORMS[op]
+    make_report = tf.make_report  # the first lookup loads transform: not timed
     t0 = time.monotonic()
     out, target = transform(d, args, cfg)
-    report = tf.make_report(d, out, target, before + (op,))
+    report = make_report(d, out, target, before + (op,))
     ms = int((time.monotonic() - t0) * 1000)
     human = [f"{op}: ok"] + report.lines()
     machine = {
@@ -256,9 +250,9 @@ def _cmd_transform(args, cfg) -> int:
 
 
 def _outcome_token(outcome) -> str:
-    if isinstance(outcome, Proved):
+    if isinstance(outcome, search.Proved):
         return f"proved(h={outcome.derivation.height})"
-    if isinstance(outcome, DecidedUnderivable):
+    if isinstance(outcome, search.DecidedUnderivable):
         return "underivable"
     return "inconclusive"
 
@@ -277,16 +271,16 @@ def _cmd_compare(args, cfg) -> int:
     rows = []
     agree = disagree = inconclusive = 0
     for goal in goals:
-        oa = prove(goal, spec_a, lim)
-        ob = prove(goal, spec_b, lim)
+        oa = search.prove(goal, spec_a, lim)
+        ob = search.prove(goal, spec_b, lim)
         ta, tb = _outcome_token(oa), _outcome_token(ob)
-        proved_a, proved_b = isinstance(oa, Proved), isinstance(ob, Proved)
-        under_a = isinstance(oa, DecidedUnderivable)
-        under_b = isinstance(ob, DecidedUnderivable)
+        proved_a, proved_b = isinstance(oa, search.Proved), isinstance(ob, search.Proved)
+        under_a = isinstance(oa, search.DecidedUnderivable)
+        under_b = isinstance(ob, search.DecidedUnderivable)
         if (proved_a and under_b) or (proved_b and under_a):
             verdict = "DISAGREE"
             disagree += 1
-        elif isinstance(oa, Exhausted) or isinstance(ob, Exhausted):
+        elif isinstance(oa, search.Exhausted) or isinstance(ob, search.Exhausted):
             verdict = "inconclusive"
             inconclusive += 1
         else:

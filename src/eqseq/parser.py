@@ -499,17 +499,21 @@ def format_instance_args(inst: RuleInstance) -> str:
     return ";".join(parts)
 
 
+# Indentation stops growing here, so a tall derivation prints in linear size.
+_MAX_INDENT = 32
+
+
 def print_derivation(d: Derivation) -> str:
-    """One node per line, indented two spaces a level; a node's ``)`` closes
-    its last line, so a leaf's line ends with one ``)`` for every node that
-    the leaf finishes."""
+    """One node per line, indented two spaces a level up to
+    :data:`_MAX_INDENT` levels; a node's ``)`` closes its last line, so a
+    leaf's line ends with one ``)`` for every node that the leaf finishes."""
     lines = []
     # (node, depth, how many enclosing nodes close after it), over an explicit
     # stack: a tall derivation would pass the recursion limit
     stack = [(d, 0, 0)]
     while stack:
         n, depth, closes = stack.pop()
-        pad = "  " * depth
+        pad = "  " * min(depth, _MAX_INDENT)
         head = f'{pad}({n.inst.rule.value} [{format_instance_args(n.inst)}] "{print_sequent(n.sequent)}"'
         if not n.children:
             lines.append(head + ")" * (closes + 1))
@@ -652,8 +656,8 @@ class _DerivationParser(_Parser):
         try:
             seq = sub.parse_sequent_body()
             sub.require_done()
-        except ParseError as exc:
-            raise ParseError(f"in sequent {string[1]!r}: {exc.message}", self._span(string)) from exc
+        except ParseError as exc:  # an arity conflict stays one
+            raise type(exc)(f"in sequent {string[1]!r}: {exc.message}", self._span(string)) from exc
         return seq, inst
 
 

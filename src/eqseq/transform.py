@@ -28,7 +28,6 @@ from .calculus import (
     repl_inst,
 )
 from .checker import Derivation, check, node
-from .search import DecidedUnderivable, chain_to_derivation, decide_function_free
 from .syntax import (
     Eq,
     EqSeqError,
@@ -1281,6 +1280,9 @@ class UnderivableGoalError(TransformError):
 def orient_function_free(goal: Sequent) -> Derivation:
     """Decide the function-free atomic goal and realize it with left-to-right
     index-2 replacement only, over initial and reflexivity leaves."""
+    # here, not at the top: the other transforms run without loading search
+    from .search import DecidedUnderivable, chain_to_derivation, decide_function_free
+
     plan = decide_function_free(goal)
     if isinstance(plan, DecidedUnderivable):
         raise UnderivableGoalError(plan.reason)

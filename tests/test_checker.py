@@ -66,7 +66,10 @@ def test_tall_derivation_walks_without_recursion():
     rep = check(tall, PRESETS["R12r"])
     assert rep.valid and rep.height == 9_999
     assert rep.rule_counts == {RuleId.REP2R: 5_000, RuleId.REP1R: 4_999, RuleId.INIT: 1}
-    back = parse_derivation(print_derivation(tall))
+    text = print_derivation(tall)
+    # indentation stops at a fixed depth: two spaces a level would print 100 MB
+    assert len(text) < 5_000_000
+    back = parse_derivation(text)
     assert back == tall and back is not tall
     assert hash(back) == hash(tall)
 

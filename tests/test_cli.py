@@ -1,5 +1,11 @@
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
+
+import pytest
 
 from corpus import valid_spine
 from eqseq.cli import run
@@ -145,7 +151,7 @@ def test_uncaught_exception_exits_2_with_one_line(capsys, monkeypatch):
     def broken(*args):
         raise RuntimeError("boom\nsecond line")
 
-    monkeypatch.setattr(eqseq.cli, "prove", broken)
+    monkeypatch.setattr(eqseq.search, "prove", broken)
     code, out, err = invoke(capsys, "prove", "a=b |- a=b", "--preset", "R12r")
     assert (code, out, err) == (2, "", "error: RuntimeError: boom second line\n")
     monkeypatch.undo()
@@ -230,3 +236,50 @@ def test_spec_string_with_precedence_file(tmp_path, capsys):
         f"base=none rules=refax,rep1r,rep2r flags=oriented prec=@{prec}",
     )
     assert code == 0
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "chain_lemma_a_n1.drv"
+
+# runs one command in a fresh interpreter, then prints its exit code and the
+# lazily loaded modules whose bodies ran
+_RUN_AND_LIST_LOADED = """
+import sys
+from eqseq.cli import run
+code = run(sys.argv[1:])
+probes = {"eqseq.search": "prove", "eqseq.transform": "cut_eliminate_pipeline"}
+ran = [m for m, name in probes.items() if name in object.__getattribute__(sys.modules[m], "__dict__")]
+print(code, *ran)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, ran",
+    [
+        (["check", str(GOLDEN), "--preset", "R2rl"], []),
+        (["prove", "a=c, b=c |- a=b", "--preset", "R12r", "--depth", "3"], ["eqseq.search"]),
+        (["transform", str(GOLDEN), "single-occurrence", "--preset", "R12rl"], ["eqseq.transform"]),
+    ],
+)
+def test_commands_load_only_the_modules_they_run(argv, ran):
+    import eqseq
+
+    src = str(pathlib.Path(eqseq.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_LIST_LOADED, *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == ["0", *ran]
+
+
+def test_every_public_name_resolves():
+    import eqseq
+    import eqseq.search
+    import eqseq.transform
+
+    for name in eqseq.__all__:
+        assert getattr(eqseq, name) is not None, name
+    assert eqseq.prove is eqseq.search.prove
+    assert eqseq.TransformReport is eqseq.transform.TransformReport
+    with pytest.raises(AttributeError):
+        eqseq.no_such_name

@@ -80,6 +80,20 @@ def test_arity_conflict():
         parse_formula("f(a) = f(a, b)")
 
 
+def test_derivation_arity_conflict_keeps_its_class():
+    # inside a node's sequent: the class survives the "in sequent" wrapper
+    with pytest.raises(ArityConflictError) as err:
+        parse_derivation('(land [0] "P(a), P(a, b) |- Q")')
+    assert str(err.value) == (
+        "in sequent 'P(a), P(a, b) |- Q': arity-conflict: predicate P used with 2 args, earlier 1"
+        " at line 1, column 11"
+    )
+    # inside a quoted cut formula, against the arity its parent's sequent set
+    with pytest.raises(ArityConflictError) as err:
+        parse_derivation('(land [0] "P(a) |- Q" (cut [0;;"P(a, b)"] "P(a) |- Q"))')
+    assert err.value.message == "arity-conflict: predicate P used with 2 args, earlier 1"
+
+
 def test_reserved_eigenparameter_names():
     with pytest.raises(ParseError):
         parse_sequent("_e1 = a |- a = a")
