@@ -2,6 +2,7 @@
 
 import importlib.util
 import sys
+import types
 
 from .syntax import (
     Atom,
@@ -109,72 +110,14 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "Atom",
-    "BOT",
-    "BoundVar",
-    "CalculusSpec",
-    "Chain",
-    "CheckReport",
-    "DecidedUnderivable",
-    "Derivation",
-    "Eq",
-    "EqSeqError",
-    "Exhausted",
-    "Flag",
-    "Formula",
-    "FunApp",
-    "PRESETS",
-    "Param",
-    "ParseError",
-    "Precedence",
-    "Proved",
-    "Replacement",
-    "RuleId",
-    "RuleInstance",
-    "SearchLimits",
-    "Sequent",
-    "Signature",
-    "Term",
-    "TransformReport",
-    "WitnessPlan",
-    "applicable_instances",
-    "chain_extract",
-    "chain_to_derivation",
-    "check",
-    "cut_eliminate_pipeline",
-    "decide_function_free",
-    "eliminate_rep1r_plus",
-    "eliminate_rep2r_plus",
-    "equivalence_translate",
-    "exact_decide",
-    "expansions",
-    "occurrences",
-    "orient_function_free",
-    "parse_derivation",
-    "parse_formula",
-    "parse_sequent",
-    "parse_term",
-    "premisses_of",
-    "print_derivation",
-    "print_formula",
-    "print_sequent",
-    "project_succedent",
-    "prove",
-    "refuted_by_countermodel",
-    "renormalize",
-    "replace_at",
-    "replace_leaf",
-    "resolve_preset",
-    "resolve_spec",
-    "right_normalize",
-    "saturate_forward",
-    "scope_restrict",
-    "semishorten",
-    "single_occurrence_normalize",
-    "stats",
-    "substitute",
-    "weaken_hp",
-]
+# the public names imported above, then the lazily served ones
+__all__ = sorted(
+    [
+        name
+        for name, value in globals().items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    ]
+    + list(_LAZY)
+)
 
 __version__ = "0.1.0"

@@ -577,9 +577,20 @@ class _DerivationParser(_Parser):
             raise ParseError(f"expected a name, found {tok[1]!r}", self._span(tok))
         return tok[1]
 
-    def _quoted(self) -> _Parser:
-        """A parser over the next quoted string, sharing this one's arities."""
-        return self._sub(self._string()[1])
+    def _quoted(self, read):
+        """``read`` of a parser over the next quoted string, sharing this one's
+        arities, which must consume the whole string.  An error inside keeps
+        its class and message and gets its span in this parser's text."""
+        string = self._string()
+        sub = self._sub(string[1])
+        try:
+            out = read(sub)
+            sub.require_done()
+        except ParseError as exc:
+            start = string[2] + 1  # the string's first character
+            span = self.lexer.span(start + exc.span.start, start + exc.span.end)
+            raise type(exc)(exc.message, span) from exc
+        return out
 
     def instance_args(self, rule: RuleId, rule_tok: _Token) -> RuleInstance:
         """The ``[...]`` arguments in the order :func:`format_instance_args`
@@ -598,13 +609,9 @@ class _DerivationParser(_Parser):
                 self.expect(";")
                 got[field] = (a1, self._index_csv())
             elif field == "cut_formula":
-                sub = self._quoted()
-                got[field] = _rename_binders_apart(sub.formula())
-                sub.require_done()
+                got[field] = _rename_binders_apart(self._quoted(_Parser.formula))
             elif field == "quoted_witness":
-                sub = self._quoted()
-                got["witness"] = sub.term(frozenset())
-                sub.require_done()
+                got["witness"] = self._quoted(lambda sub: sub.term(frozenset()))
             elif field == "witness":
                 got[field] = self.term(frozenset())
             elif field == "eigen":

@@ -10,6 +10,7 @@ in a case table fails fast instead of looping.
 """
 from __future__ import annotations
 
+from collections.abc import Generator
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -94,6 +95,53 @@ def make_report(input_d: Derivation, output_d: Derivation, target: CalculusSpec,
 
 
 # ---------------------------------------------------------------------------
+# Walking derivations
+#
+# Every pass walks its derivation through _run, so a derivation of any height
+# transforms without reaching Python's recursion limit.
+
+
+def _run(walk, *args):
+    """``walk(*args)``, where the generator function ``walk`` yields the
+    arguments of each call it would make to itself and is sent that call's
+    result.  Pending calls wait on a list and run in the order plain
+    recursion would run them."""
+    stack = [walk(*args)]
+    result = None
+    while stack:
+        try:
+            call = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            stack.append(walk(*call))
+            result = None
+    return result
+
+
+def _rebuild(d: Derivation, step) -> Derivation:
+    """``d`` with every node replaced, children first, by ``step`` of that
+    node over its rebuilt children."""
+
+    def walk(n: Derivation) -> Generator[tuple, Derivation, Derivation]:
+        children = []
+        for c in n.children:
+            children.append((yield (c,)))
+        return step(Derivation(n.sequent, n.inst, tuple(children)))
+
+    return _run(walk, d)
+
+
+def _spine(d: Derivation) -> list[Derivation]:
+    """The nodes from ``d`` down to a leaf through first children."""
+    out = [d]
+    while out[-1].children:
+        out.append(out[-1].children[0])
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Positional canonicalization
 #
 # Derivations read from files may list premiss formulas in any order (the
@@ -138,7 +186,7 @@ def renormalize(d: Derivation, spec: CalculusSpec) -> Derivation:
     """Reorder every node so children's sequent tuples equal the computed
     premiss tuples; instance indices are remapped accordingly."""
 
-    def go(n: Derivation, want: Sequent) -> Derivation:
+    def go(n: Derivation, want: Sequent) -> Generator[tuple, Derivation, Derivation]:
         inst = n.inst
         if n.sequent.ante != want.ante or n.sequent.succ != want.succ:
             amap = _permutation(n.sequent.ante, want.ante)
@@ -147,10 +195,12 @@ def renormalize(d: Derivation, spec: CalculusSpec) -> Derivation:
         premisses = premisses_of(want, inst, spec)
         if len(premisses) != len(n.children):
             raise PreconditionError("input derivation is not valid in the given calculus")
-        children = tuple(go(c, p) for c, p in zip(n.children, premisses))
-        return Derivation(want, inst, children)
+        children = []
+        for c, p in zip(n.children, premisses):
+            children.append((yield c, p))
+        return Derivation(want, inst, tuple(children))
 
-    return go(d, d.sequent)
+    return _run(go, d, d.sequent)
 
 
 # ---------------------------------------------------------------------------
@@ -161,18 +211,23 @@ def _rename_param_deriv(d: Derivation, old: str, new: str) -> Derivation:
     def fix(x):
         return None if x is None else replace_leaf(x, Param(old), Param(new))
 
-    inst = replace(
-        d.inst,
-        witness=fix(d.inst.witness),
-        eigen=new if d.inst.eigen == old else d.inst.eigen,
-        cut_formula=fix(d.inst.cut_formula),
-    )
-    seq = Sequent(tuple(map(fix, d.sequent.ante)), tuple(map(fix, d.sequent.succ)))
-    return Derivation(seq, inst, tuple(_rename_param_deriv(c, old, new) for c in d.children))
+    def step(n: Derivation) -> Derivation:
+        inst = replace(
+            n.inst,
+            witness=fix(n.inst.witness),
+            eigen=new if n.inst.eigen == old else n.inst.eigen,
+            cut_formula=fix(n.inst.cut_formula),
+        )
+        seq = Sequent(tuple(map(fix, n.sequent.ante)), tuple(map(fix, n.sequent.succ)))
+        return Derivation(seq, inst, n.children)
+
+    return _rebuild(d, step)
 
 
 def _refresh_eigens(d: Derivation, avoid: set[str]) -> Derivation:
     """Rename any eigenparameter clashing with ``avoid`` throughout its subtree."""
+    if not any(n.inst.eigen in avoid for n in d.nodes()):
+        return d
     taken = avoid.union(*(n.sequent.params() for n in d.nodes()))
     counter = [0]
 
@@ -184,12 +239,15 @@ def _refresh_eigens(d: Derivation, avoid: set[str]) -> Derivation:
                 taken.add(name)
                 return name
 
-    def go(n: Derivation) -> Derivation:
-        if n.inst.eigen is not None and n.inst.eigen in avoid:
+    def go(n: Derivation) -> Generator[tuple, Derivation, Derivation]:
+        if n.inst.eigen in avoid:
             n = _rename_param_deriv(n, n.inst.eigen, fresh())
-        return Derivation(n.sequent, n.inst, tuple(go(c) for c in n.children))
+        children = []
+        for c in n.children:
+            children.append((yield (c,)))
+        return Derivation(n.sequent, n.inst, tuple(children))
 
-    return go(d)
+    return _run(go, d)
 
 
 def weaken_hp(d: Derivation, f: Formula, side: str, spec: CalculusSpec) -> Derivation:
@@ -200,10 +258,12 @@ def weaken_hp(d: Derivation, f: Formula, side: str, spec: CalculusSpec) -> Deriv
     if side not in ("ante", "succ"):
         raise PreconditionError(f"side must be ante or succ, got {side!r}")
     d = renormalize(_refresh_eigens(d, formula_params(f)), spec)
-    return _thread(d, f, side, spec)
+    return _run(_thread, d, f, side, spec)
 
 
-def _thread(d: Derivation, f: Formula, side: str, spec: CalculusSpec) -> Derivation:
+def _thread(
+    d: Derivation, f: Formula, side: str, spec: CalculusSpec
+) -> Generator[tuple, Derivation, Derivation]:
     seq = d.sequent
     new_seq = (
         Sequent(seq.ante + (f,), seq.succ) if side == "ante" else Sequent(seq.ante, seq.succ + (f,))
@@ -217,7 +277,7 @@ def _thread(d: Derivation, f: Formula, side: str, spec: CalculusSpec) -> Derivat
         if new == old:
             children.append(child)
         else:
-            children.append(_thread(child, f, side, spec))
+            children.append((yield child, f, side, spec))
     return Derivation(new_seq, d.inst, tuple(children))
 
 
@@ -262,10 +322,12 @@ def project_succedent(d: Derivation, spec: CalculusSpec) -> tuple[Formula, Deriv
     if RuleId.CUT in spec.rules:
         raise PreconditionError("precondition-violation: projection does not support Cut")
     d = renormalize(d, spec)
-    return _proj(d, spec)
+    return _run(_proj, d, spec)
 
 
-def _proj(d: Derivation, spec: CalculusSpec) -> tuple[Formula, Derivation]:
+def _proj(
+    d: Derivation, spec: CalculusSpec
+) -> Generator[tuple, tuple[Formula, Derivation], tuple[Formula, Derivation]]:
     seq, inst = d.sequent, d.inst
     rule = inst.rule
     if rule is RuleId.INIT:
@@ -280,11 +342,11 @@ def _proj(d: Derivation, spec: CalculusSpec) -> tuple[Formula, Derivation]:
         raise PreconditionError(f"precondition-violation: cannot project past {rule.value}")
 
     if rule in (RuleId.RW, RuleId.RC):
-        return _proj(d.children[0], spec)
+        return (yield d.children[0], spec)
 
     sig = RULES[rule]
     if rule in (RuleId.REFL, RuleId.SYMM, RuleId.LW, RuleId.LC, RuleId.LCEQ) or sig.context_side == "a":
-        a, sub = _proj(d.children[0], spec)
+        a, sub = yield d.children[0], spec
         new_seq = Sequent(seq.ante, (a,))
         want = premisses_of(new_seq, inst, spec)[0]
         if want != sub.sequent:
@@ -294,7 +356,7 @@ def _proj(d: Derivation, spec: CalculusSpec) -> tuple[Formula, Derivation]:
     if sig.index and sig.context_side == "s":
         rep = inst.replacement
         input_formula = premisses_of(seq, inst, spec)[0].succ[rep.context_index]
-        b, sub = _proj(d.children[0], spec)
+        b, sub = yield d.children[0], spec
         if b != input_formula:
             if rule in (RuleId.EQ1, RuleId.EQ2):
                 # the premiss lacks the operating equality; restore it
@@ -311,11 +373,11 @@ def _proj(d: Derivation, spec: CalculusSpec) -> tuple[Formula, Derivation]:
         concl_term = term_at(out, rep.paths[0])
         input_formula = replace_at(out, set(rep.paths), concl_term, inst.witness)
         p1, p2 = premisses_of(seq, inst, spec)
-        b2, sub2 = _proj(d.children[1], spec)
+        b2, sub2 = yield d.children[1], spec
         if b2 != input_formula:
             sub2 = weaken_hp_many(sub2, p1.ante, (), spec)
             return b2, _reorder_root(sub2, Sequent(seq.ante, (b2,)))
-        b1, sub1 = _proj(d.children[0], spec)
+        b1, sub1 = yield d.children[0], spec
         if b1 != Eq(inst.witness, concl_term):
             sub1 = weaken_hp_many(sub1, p2.ante, (), spec)
             return b1, _reorder_root(sub1, Sequent(seq.ante, (b1,)))
@@ -714,18 +776,18 @@ def equivalence_translate(d: Derivation, frm, to) -> Derivation:
         to_spec.precedence,
     )
     d = renormalize(d, frm_spec)
-    out = _translate(d, frm_spec, tools)
+    out = _rebuild(d, partial(_translate, tools=tools))
     return _reorder_root(out, d.sequent)
 
 
-def _translate(d: Derivation, frm: CalculusSpec, tools: CalculusSpec) -> Derivation:
-    children = tuple(_translate(c, frm, tools) for c in d.children)
-    seq, inst = d.sequent, d.inst
+def _translate(d: Derivation, tools: CalculusSpec) -> Derivation:
+    """One node of a translation, over its translated children."""
+    seq, inst, children = d.sequent, d.inst, d.children
     rule = inst.rule
     # native (or native after an LCeq->LC downgrade)
     try:
         premisses_of(seq, inst, tools)
-        return Derivation(seq, inst, children)
+        return d
     except CalculusError:
         pass
     if rule is RuleId.LCEQ:
@@ -760,11 +822,11 @@ def _translate(d: Derivation, frm: CalculusSpec, tools: CalculusSpec) -> Derivat
             seq,
         )
     if rule is RuleId.CNG:
-        return _reorder_root(_cng_via_cut(d, children, tools), seq)
+        return _reorder_root(_cng_via_cut(d, tools), seq)
     raise UntranslatableRuleError(f"untranslatable-rule: {rule.value}")
 
 
-def _cng_via_cut(d: Derivation, children: tuple[Derivation, ...], tools: CalculusSpec) -> Derivation:
+def _cng_via_cut(d: Derivation, tools: CalculusSpec) -> Derivation:
     """CNG simulated by weakening the operating equality into the second
     premiss, one succedent replacement, and a cut on the equality."""
     inst = d.inst
@@ -775,7 +837,7 @@ def _cng_via_cut(d: Derivation, children: tuple[Derivation, ...], tools: Calculu
     prem_term = inst.witness
     e = Eq(prem_term, concl_term)
     p1, p2 = premisses_of(seq, inst, PRESETS["CngLCeq"].with_rules(RuleId.CUT, RuleId.LW))
-    d1, d2 = children
+    d1, d2 = d.children
     d1 = _reorder_root(d1, p1)
     d2 = _reorder_root(d2, p2)
     # weaken e into premiss 2, rewrite there, cut e against premiss 1
@@ -814,39 +876,37 @@ def cut_eliminate_pipeline(d: Derivation) -> Derivation:
     if not rep.valid:
         raise PreconditionError(f"input-not-in-scope: {rep.first_error}")
     goal = d.sequent
-    d = _reps_to_cng(renormalize(d, _SPEC_IN))
-    d = _eliminate_cuts(renormalize(d, _SPEC_CNG_CUT))
-    d = _eliminate_cngs(renormalize(d, _SPEC_CNG))
+    d = _rebuild(renormalize(d, _SPEC_IN), _rep_to_cng)
+    d = _rebuild(renormalize(d, _SPEC_CNG_CUT), _eliminate_cut)
+    d = _rebuild(renormalize(d, _SPEC_CNG), _eliminate_cng)
     d = _prune_lc(renormalize(d, _SPEC_REP_LC))
     if d.sequent != goal:
         raise TransformError("cut elimination changed the endsequent")
     return d
 
 
-def _reps_to_cng(d: Derivation) -> Derivation:
-    children = tuple(_reps_to_cng(c) for c in d.children)
+def _rep_to_cng(d: Derivation) -> Derivation:
     if d.inst.rule in (RuleId.REP1R, RuleId.REP2R):
         rep = d.inst.replacement
         idx = RULES[d.inst.rule].index
         return _reorder_root(
             _right_step_via_cng(
-                children[0], d.sequent, idx, rep.eq_index, rep.context_index, rep.paths,
+                d.children[0], d.sequent, idx, rep.eq_index, rep.context_index, rep.paths,
                 _SPEC_CNG_CUT,
             ),
             d.sequent,
         )
-    return Derivation(d.sequent, d.inst, children)
+    return d
 
 
-def _eliminate_cuts(d: Derivation) -> Derivation:
-    children = tuple(_eliminate_cuts(c) for c in d.children)
+def _eliminate_cut(d: Derivation) -> Derivation:
     if d.inst.rule is RuleId.CUT:
-        left, right = children
+        left, right = d.children
         left = renormalize(left, _SPEC_CNG)
         right = renormalize(right, _SPEC_CNG)
-        out = _gencut(left, right, d.inst.cut_formula, 1)
+        out = _run(_gencut, left, right, d.inst.cut_formula, 1)
         return _reorder_root(out, d.sequent)
-    return Derivation(d.sequent, d.inst, children)
+    return d
 
 
 def _remove_n(fs: tuple[Formula, ...], f: Formula, n: int) -> tuple[Formula, ...]:
@@ -856,9 +916,10 @@ def _remove_n(fs: tuple[Formula, ...], f: Formula, n: int) -> tuple[Formula, ...
     return tuple(out)
 
 
-def _gencut(dl: Derivation, dr: Derivation, a: Formula, n: int) -> Derivation:
+def _gencut(dl: Derivation, dr: Derivation, a: Formula, n: int) -> Generator[tuple, Derivation, Derivation]:
     """The generalized cut  Γ|-Δ,A  +  Aⁿ,Λ|-Θ  =>  Γ,Λ|-Δ,Θ  eliminated by
-    induction on the right derivation, inside {RefAx, LC, CNG}."""
+    induction on the right derivation, inside {RefAx, LC, CNG}; ``dr`` is a
+    subtree of a derivation renormalized in that calculus."""
     if n == 0:
         return dr
     gamma = dl.sequent.ante
@@ -886,10 +947,10 @@ def _gencut(dl: Derivation, dr: Derivation, a: Formula, n: int) -> Derivation:
     if inst.rule in (RuleId.LC, RuleId.LCEQ):
         (i,) = inst.principal
         f = dr.sequent.ante[i]
-        child = renormalize(dr.children[0], _SPEC_CNG)
+        child = dr.children[0]
         if f == a:
-            return _gencut(dl, child, a, n + 1)
-        sub = _gencut(dl, child, a, n)
+            return (yield dl, child, a, n + 1)
+        sub = yield dl, child, a, n
         k = target.ante.index(f, len(gamma)) if f in lam else target.ante.index(f)
         lc = RuleId.LCEQ if isinstance(f, Eq) else RuleId.LC
         return node(target, RuleInstance(lc, (k,)), _reorder_root(sub, Sequent(
@@ -903,14 +964,13 @@ def _gencut(dl: Derivation, dr: Derivation, a: Formula, n: int) -> Derivation:
         e_op = Eq(inst.witness, concl_term)
         inp_f = replace_at(out_f, set(rep.paths), concl_term, inst.witness)
         p1, p2 = premisses_of(dr.sequent, inst, _SPEC_CNG)
-        c1 = renormalize(dr.children[0], _SPEC_CNG)
-        c2 = renormalize(dr.children[1], _SPEC_CNG)
+        c1, c2 = dr.children
         n1 = min(sum(1 for g in p1.ante if g == a), n)
         n2 = n - n1
         if n2 > sum(1 for g in p2.ante if g == a):
             raise TransformError("generalized cut cannot distribute the cut copies")
-        e1 = _gencut(dl, c1, a, n1) if n1 else c1
-        e2 = _gencut(dl, c2, a, n2) if n2 else c2
+        e1 = (yield dl, c1, a, n1) if n1 else c1
+        e2 = (yield dl, c2, a, n2) if n2 else c2
         j1 = e1.sequent.succ.index(e_op)
         d1part = remove_at(e1.sequent.succ, j1)
         j2 = e2.sequent.succ.index(inp_f)
@@ -964,17 +1024,16 @@ def _contract_succ_to(d: Derivation, want: tuple[Formula, ...]) -> Derivation:
     return weaken_hp_many(proj, (), rest, _SPEC_CNG)
 
 
-def _eliminate_cngs(d: Derivation) -> Derivation:
-    children = tuple(_eliminate_cngs(c) for c in d.children)
+def _eliminate_cng(d: Derivation) -> Derivation:
     if d.inst.rule is RuleId.CNG:
         rep = d.inst.replacement
         out_f = d.sequent.succ[rep.context_index]
         concl_term = term_at(out_f, rep.paths[0])
-        c1 = renormalize(children[0], _SPEC_REP_LC)
-        c2 = renormalize(children[1], _SPEC_REP_LC)
-        built = _cng_step(c1, c2, d.inst.witness, concl_term, out_f, rep.paths)
+        c1 = renormalize(d.children[0], _SPEC_REP_LC)
+        c2 = renormalize(d.children[1], _SPEC_REP_LC)
+        built = _run(_cng_step, c1, c2, d.inst.witness, concl_term, out_f, rep.paths)
         return _reorder_root(built, d.sequent)
-    return Derivation(d.sequent, d.inst, children)
+    return d
 
 
 def _cng_step(
@@ -984,9 +1043,10 @@ def _cng_step(
     s_term: Term,
     out_f: Formula,
     paths: tuple[Path, ...],
-) -> Derivation:
+) -> Generator[tuple, Derivation, Derivation]:
     """Eliminate one congruence inference by induction on the height of its
-    first premiss (a derivation of  Γ' |- Δ, r=s  in {RefAx, Rep, LC}).
+    first premiss (a derivation of  Γ' |- Δ, r=s  in {RefAx, Rep, LC}, and a
+    subtree of one renormalized there).
 
     Returns a derivation of  Γ', Λ |- Δ, Θ'  where Θ' is d1's succedent with
     the rewritten formula replaced by ``out_f``."""
@@ -1029,8 +1089,8 @@ def _cng_step(
     if inst.rule in (RuleId.LC, RuleId.LCEQ):
         (i,) = inst.principal
         f = d0.sequent.ante[i]
-        child = renormalize(d0.children[0], _SPEC_REP_LC)
-        sub = _cng_step(child, d1, r_term, s_term, out_f, paths)
+        child = d0.children[0]
+        sub = yield child, d1, r_term, s_term, out_f, paths
         k = target.ante.index(f)
         prem = Sequent(target.ante[: k + 1] + (f,) + target.ante[k + 1 :], target.succ)
         lc = RuleId.LCEQ if isinstance(f, Eq) else RuleId.LC
@@ -1038,10 +1098,10 @@ def _cng_step(
 
     if inst.rule in (RuleId.REP1R, RuleId.REP2R):
         rep = inst.replacement
-        child = renormalize(d0.children[0], _SPEC_REP_LC)
+        child = d0.children[0]
         if rep.context_index != j_e:
             # principal inside Δ: commute below the congruence
-            sub = _cng_step(child, d1, r_term, s_term, out_f, paths)
+            sub = yield child, d1, r_term, s_term, out_f, paths
             d0_prem_f = child.sequent.succ[rep.context_index]
             jj = rep.context_index if rep.context_index < j_e else rep.context_index - 1
             prem = Sequent(target.ante, replace_formula(target.succ, jj, d0_prem_f))
@@ -1065,7 +1125,7 @@ def _cng_step(
             ew = node(mid, repl_inst(back, opi, j2, comp), ew)
         # step 3: the inductive congruence on the rewritten equality
         out_prev = replace_at(g_f, set(paths), r_prev, s_prev)
-        sub = _cng_step(child, ew, r_prev, s_prev, out_prev, paths)
+        sub = yield child, ew, r_prev, s_prev, out_prev, paths
         # step 4: rewrite the s-slots back
         if rhs_rel:
             cur = sub.sequent
@@ -1088,25 +1148,24 @@ def _prune_lc(d: Derivation) -> Derivation:
     contraction every sequent carries the duplicated formula; dropping one
     copy everywhere (and repointing instance indices) prunes the node."""
 
-    def strip(nd: Derivation, i: int) -> Derivation:
+    def strip(i: int, nd: Derivation) -> Derivation:
         amap = {k: (k if k < i else k - 1) for k in range(len(nd.sequent.ante)) if k != i}
         survivor = i  # after removal, the twin copy sits at index i
         amap[i] = survivor if i < len(nd.sequent.ante) - 1 else i - 1
         smap = {k: k for k in range(len(nd.sequent.succ))}
         seq = Sequent(remove_at(nd.sequent.ante, i), nd.sequent.succ)
         inst = _remap_instance(nd.inst, amap, smap)
-        return Derivation(seq, inst, tuple(strip(c, i) for c in nd.children))
+        return Derivation(seq, inst, nd.children)
 
-    def go(nd: Derivation) -> Derivation:
-        children = tuple(go(c) for c in nd.children)
+    def step(nd: Derivation) -> Derivation:
         if nd.inst.rule in (RuleId.LC, RuleId.LCEQ):
             (i,) = nd.inst.principal
             # the premiss duplicates ante[i] right after position i
-            pruned = strip(children[0], i)
+            pruned = _rebuild(nd.children[0], partial(strip, i))
             return _reorder_root(pruned, nd.sequent)
-        return Derivation(nd.sequent, nd.inst, children)
+        return nd
 
-    return go(d)
+    return _rebuild(d, step)
 
 
 # ---------------------------------------------------------------------------
@@ -1114,9 +1173,8 @@ def _prune_lc(d: Derivation) -> Derivation:
 
 
 def _split_mixed_sides(d: Derivation, spec: CalculusSpec) -> Derivation:
-    """Split succedent replacement instances whose paths touch both sides of
+    """Split a succedent replacement instance whose paths touch both sides of
     an equality context into two chained single-side instances."""
-    children = tuple(_split_mixed_sides(c, spec) for c in d.children)
     inst = d.inst
     if inst.rule in (RuleId.REP1R, RuleId.REP2R) and inst.replacement is not None:
         rep = inst.replacement
@@ -1127,9 +1185,9 @@ def _split_mixed_sides(d: Derivation, spec: CalculusSpec) -> Derivation:
             if left and right:
                 mid_inst = repl_inst(inst.rule, rep.eq_index, rep.context_index, left)
                 mid = premisses_of(d.sequent, mid_inst, spec)[0]
-                inner = node(mid, repl_inst(inst.rule, rep.eq_index, rep.context_index, right), *children)
+                inner = node(mid, repl_inst(inst.rule, rep.eq_index, rep.context_index, right), *d.children)
                 return node(d.sequent, mid_inst, inner)
-    return Derivation(d.sequent, inst, children)
+    return d
 
 
 def right_normalize(d: Derivation) -> Derivation:
@@ -1142,13 +1200,7 @@ def right_normalize(d: Derivation) -> Derivation:
     rep = check(d, spec)
     if not rep.valid:
         raise PreconditionError(f"precondition-violation: {rep.first_error}")
-    d = _split_mixed_sides(renormalize(d, spec), spec)
-
-    def spine(nd: Derivation) -> list[Derivation]:
-        out = [nd]
-        while out[-1].children:
-            out.append(out[-1].children[0])
-        return out
+    d = _rebuild(renormalize(d, spec), partial(_split_mixed_sides, spec=spec))
 
     def undesired(nd: Derivation) -> bool:
         repd = nd.inst.replacement
@@ -1159,7 +1211,7 @@ def right_normalize(d: Derivation) -> Derivation:
         guard += 1
         if guard > 100_000:
             raise MeasureError("right normalization failed to terminate")
-        nodes = spine(d)
+        nodes = _spine(d)
         before = sum(1 for nd in nodes if undesired(nd))
         if before == 0:
             return d
@@ -1200,7 +1252,7 @@ def right_normalize(d: Derivation) -> Derivation:
         if cur.sequent != jnode.sequent:
             raise TransformError("right normalization rebuilt the wrong sequent")
         d = _splice_spine(nodes[:k], cur)
-        after_nodes = spine(d)
+        after_nodes = _spine(d)
         after = sum(1 for nd in after_nodes if undesired(nd))
         if after >= before:
             raise MeasureError("undesired-inference count failed to decrease")
@@ -1235,35 +1287,28 @@ def scope_restrict(d: Derivation) -> Derivation:
 
 
 def _scope_go(d: Derivation) -> Derivation:
-    if d.inst.rule is RuleId.INIT:
+    """Every succedent replacement of the spine becomes, in reverse order, an
+    antecedent replacement of the other index on the initial atom, and every
+    succedent becomes the root's."""
+    nodes = _spine(d)
+    for nd in nodes:
+        if nd.inst.rule not in (RuleId.INIT, RuleId.REP1R, RuleId.REP2R):
+            raise PreconditionError(f"precondition-violation: unexpected rule {nd.inst.rule.value}")
+    if len(nodes) == 1:
         return d
-    if d.inst.rule not in (RuleId.REP1R, RuleId.REP2R):
-        raise PreconditionError(f"precondition-violation: unexpected rule {d.inst.rule.value}")
-    rep = d.inst.replacement
-    sub = _scope_go(d.children[0])
+    ante = nodes[-1].sequent.ante
+    i0, _ = nodes[-1].inst.principal
     out = d.sequent.succ[0]
-    # replace the succedent throughout the transformed subderivation
-    spine: list[Derivation] = [sub]
-    while spine[-1].children:
-        spine.append(spine[-1].children[0])
-    leaf_node = spine[-1]
-    i0, _ = leaf_node.inst.principal
-    new_leaf_seq = Sequent(
-        replace_formula(leaf_node.sequent.ante, i0, out), (out,)
-    )
-    new_leaf = node(new_leaf_seq, leaf(RuleId.INIT, i0, 0))
-    e_idx = leaf_node.sequent.ante.index(d.sequent.ante[rep.eq_index])
-    if e_idx == i0:
-        raise TransformError("operating equality collides with the initial atom")
-    left_rule = RuleId.REP2L if d.inst.rule is RuleId.REP1R else RuleId.REP1L
-    fix = node(
-        Sequent(leaf_node.sequent.ante, (out,)),
-        repl_inst(left_rule, e_idx, i0, rep.paths),
-        new_leaf,
-    )
-    cur = fix
-    for nd in reversed(spine[:-1]):
-        cur = node(Sequent(nd.sequent.ante, (out,)), nd.inst, cur)
+    cur = node(Sequent(replace_formula(ante, i0, out), (out,)), leaf(RuleId.INIT, i0, 0))
+    for nd, premiss in zip(nodes, nodes[1:]):
+        # the initial atom, rewritten back to the succedent of nd's premiss
+        fix_ante = replace_formula(ante, i0, premiss.sequent.succ[0])
+        rep = nd.inst.replacement
+        e_idx = fix_ante.index(nd.sequent.ante[rep.eq_index])
+        if e_idx == i0:
+            raise TransformError("operating equality collides with the initial atom")
+        left_rule = RuleId.REP2L if nd.inst.rule is RuleId.REP1R else RuleId.REP1L
+        cur = node(Sequent(fix_ante, (out,)), repl_inst(left_rule, e_idx, i0, rep.paths), cur)
     return cur
 
 
@@ -1299,12 +1344,10 @@ def single_occurrence_normalize(d: Derivation, spec: CalculusSpec) -> Derivation
 
     =1/=2 and CNG nodes are left alone: their operating equality is not
     retained in the premiss, so no chain with the same operating exists."""
-    d = renormalize(d, spec)
-    return _son_go(d, spec)
+    return _rebuild(renormalize(d, spec), partial(_single_occurrences, spec=spec))
 
 
-def _son_go(d: Derivation, spec: CalculusSpec) -> Derivation:
-    children = tuple(_son_go(c, spec) for c in d.children)
+def _single_occurrences(d: Derivation, spec: CalculusSpec) -> Derivation:
     inst = d.inst
     rep = inst.replacement
     if (
@@ -1313,8 +1356,8 @@ def _son_go(d: Derivation, spec: CalculusSpec) -> Derivation:
         or not RULES[inst.rule].index
         or inst.rule in (RuleId.EQ1, RuleId.EQ2)
     ):
-        return Derivation(d.sequent, inst, children)
-    child = children[0]
+        return d
+    child = d.children[0]
     seq = d.sequent
     if inst.rule in (RuleId.REP1R, RuleId.REP2R) or not RULES[inst.rule].keeps_context(
         seq.ante[rep.context_index]
@@ -1393,7 +1436,9 @@ def _plus_rule(idx: int) -> RuleId:
     return RuleId.REP1LP if idx == 1 else RuleId.REP2LP
 
 
-def _push_up(d0: Derivation, job: _RightJob, concl: Sequent, work: CalculusSpec) -> Derivation:
+def _push_up(
+    d0: Derivation, job: _RightJob, concl: Sequent, work: CalculusSpec
+) -> Generator[tuple, Derivation, Derivation]:
     """Derivation of ``concl`` in the working calculus, given that ``concl``
     follows from ``d0``'s endsequent by the (excluded) succedent replacement
     ``job`` and ``d0`` itself is within the working calculus."""
@@ -1456,7 +1501,7 @@ def _push_up(d0: Derivation, job: _RightJob, concl: Sequent, work: CalculusSpec)
             else:
                 out2 = out
             c2 = Sequent(d00.sequent.ante, replace_formula(d00.sequent.succ, job.j, out2))
-            sub = _push_up(d00, _RightJob(job.idx, job.ei, job.j, job.path), c2, work)
+            sub = yield d00, _RightJob(job.idx, job.ei, job.j, job.path), c2, work
             return node(concl, d0.inst, sub)
         if len(rho) <= len(job.path):
             # K wrote the subterm containing J's occurrence (rho <= path)
@@ -1479,7 +1524,7 @@ def _push_up(d0: Derivation, job: _RightJob, concl: Sequent, work: CalculusSpec)
         ew = weaken_hp(d00, ejp, "ante", work)
         opi = len(d00.sequent.ante)
         c2 = Sequent(ew.sequent.ante, replace_formula(ew.sequent.succ, job.j, out))
-        sub = _push_up(ew, _RightJob(job.idx, opi, job.j, job.path), c2, work)
+        sub = yield ew, _RightJob(job.idx, opi, job.j, job.path), c2, work
         side = 0 if job.idx == 1 else 1
         if krep.eq_index == job.ei:
             raise TransformError("overlap case with a shared operating equality")
@@ -1493,7 +1538,7 @@ def _push_up(d0: Derivation, job: _RightJob, concl: Sequent, work: CalculusSpec)
         if not keeps and krep.context_index == job.ei:
             raise TransformError("a strict left inference rewrote the operating equality")
         c2 = Sequent(d00.sequent.ante, replace_formula(d00.sequent.succ, job.j, out))
-        sub = _push_up(d00, _RightJob(job.idx, ei2, job.j, job.path), c2, work)
+        sub = yield d00, _RightJob(job.idx, ei2, job.j, job.path), c2, work
         return node(concl, d0.inst, sub)
 
     raise TransformError(f"unsupported inference above an excluded step: {rule.value}")
@@ -1542,10 +1587,8 @@ def _eliminate_offending(d: Derivation, work: CalculusSpec, offending) -> Deriva
         return sorted(out, reverse=True)
 
     def process(nd: Derivation) -> Derivation:
-        children = tuple(process(c) for c in nd.children)
-        nd = Derivation(nd.sequent, nd.inst, children)
         if offending(nd):
-            built = _push_up(children[0], _job_of(nd), nd.sequent, work)
+            built = _run(_push_up, nd.children[0], _job_of(nd), nd.sequent, work)
             return renormalize(_reorder_root(built, nd.sequent), work)
         return nd
 
@@ -1557,7 +1600,7 @@ def _eliminate_offending(d: Derivation, work: CalculusSpec, offending) -> Deriva
         guard += 1
         if guard > 10_000:
             raise MeasureError("offending-inference elimination failed to terminate")
-        d = process(d)
+        d = _rebuild(d, process)
         after = heights(d)
         if after and not _multiset_less(after, before):
             raise MeasureError("offending-inference measure failed to decrease")
@@ -1610,7 +1653,7 @@ def semishorten(d: Derivation, prec: Precedence) -> Derivation:
     rep = check(d, spec)
     if not rep.valid:
         raise PreconditionError(f"input-not-in-scope: {rep.first_error}")
-    d = single_occurrence_normalize(renormalize(d, spec), spec)
+    d = single_occurrence_normalize(d, spec)
     return _eliminate_offending(
         d, PRESETS["R12rlPlus"], lambda nd: _offending(nd, 1, prec) or _offending(nd, 2, prec)
     )

@@ -48,6 +48,21 @@ def valid_spine(n):
     return d
 
 
+def eq_spine(sides):
+    """An R12r derivation of ``a=b |- x=y`` with one single-occurrence
+    succedent replacement per entry of ``sides`` (0 rewrites the lhs, 1 the
+    rhs), listed leafward first, above the axiom ``a=b |- b=b``."""
+    seqs = {(x, y): parse_sequent(f"a=b |- {x}={y}") for x in "ab" for y in "ab"}
+    state = ["b", "b"]
+    d = node(seqs["b", "b"], leaf(RuleId.REFAX, 0))
+    for side in sides:
+        # rep2r reads a back as b, rep1r reads b back as a
+        rule = RuleId.REP2R if state[side] == "b" else RuleId.REP1R
+        state[side] = "a" if state[side] == "b" else "b"
+        d = node(seqs[tuple(state)], repl_inst(rule, 0, 0, [(side,)]), d)
+    return d
+
+
 def random_term(rng: random.Random, funcs=("f",), max_height: int = 2):
     if max_height == 0 or rng.random() < 0.55:
         return rng.choice(PARAMS)

@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from corpus import valid_spine
-from eqseq.cli import run
+from corpus import eq_spine, valid_spine
+from eqseq.cli import _TRANSFORMS, run
 from eqseq.checker import check
 from eqseq.parser import parse_derivation, print_derivation
 from eqseq.calculus import PRESETS, RuleId
@@ -168,6 +168,25 @@ def test_check_deep_derivation_file(tmp_path, capsys):
     code, out, err = invoke(capsys, "check", str(drv), "--preset", "R12r")
     assert (code, err) == (0, "")
     assert "result: valid" in out and "height: 4999" in out
+
+
+def test_transform_deep_derivation_file(tmp_path, capsys):
+    # 3,000 levels: every op but cut-eliminate gives a verdict, never exit 2
+    drv = tmp_path / "deep.drv"
+    drv.write_text(print_derivation(valid_spine(3_000)))
+    eq_drv = tmp_path / "deep_eq.drv"
+    eq_drv.write_text(print_derivation(eq_spine([1 if k % 1000 else 0 for k in range(2_999)])))
+    extra = {
+        "single-occurrence": ["--preset", "R12rl"],
+        "project": ["--preset", "R12rl"],
+        "translate": ["--source", "R12r", "--target", "R12rl"],
+    }
+    for op in sorted(_TRANSFORMS):
+        if op == "cut-eliminate":
+            continue
+        path = eq_drv if op == "right-normalize" else drv
+        code, _, err = invoke(capsys, "transform", str(path), op, *extra.get(op, []))
+        assert code in (0, 1) and err == "", (op, code, err)
 
 
 def test_unknown_precedence_exits_2(tmp_path, capsys):

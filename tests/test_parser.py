@@ -187,13 +187,20 @@ def test_instance_args_cover_every_rule():
         ('(cng [;;0;;"a"] "|-")', "malformed instance args: empty path list", (1, 4, 1, 2)),
         ('(rep2r [0;0] "|-")', "expected ';', found ']'", (11, 12, 1, 12)),
         ('(cut [0;1;P] "|-")', "expected a quoted string, found 'P'", (10, 11, 1, 11)),
-        ('(cut [0;1;"P("] "|-")', "unexpected end of input", (2, 2, 1, 2)),
+        ('(cut [0;1;"P("] "|-")', "unexpected end of input", (13, 13, 1, 14)),
         ('(lforall [0;P] "|-")', "expected a term, found 'P'", (12, 13, 1, 13)),
         ('(rforall [0;3] "|-")', "expected a name, found '3'", (12, 13, 1, 13)),
         ('(init [0] "|-")', "expected ';', found ']'", (8, 9, 1, 9)),
         ('(refl [] "|-")', "expected a term, found ']'", (7, 8, 1, 8)),
         ('(land [x] "|-")', "expected an index, found 'x'", (7, 8, 1, 8)),
         ('(land [0;1] "|-")', "expected ']', found ';'", (8, 9, 1, 9)),
+        # an error inside a quoted argument is placed in the file
+        (
+            '(land [0] "P(a) |- Q"\n  (land [0] "P(a) |- Q"\n    (cut [0;;"P(a b)"] "P(a) |- Q")))',
+            "expected ')', found 'b'",
+            (64, 65, 3, 19),
+        ),
+        ('(cng [0;0;0;;"a b"] "|-")', "trailing input 'b'", (16, 17, 1, 17)),
     ],
 )
 def test_instance_arg_errors(text, message, span):

@@ -1,10 +1,12 @@
 import argparse
+import ast
 import hashlib
+import pathlib
 import random
 
 import pytest
 
-from corpus import grow
+from corpus import eq_spine, grow, valid_spine
 from eqseq.calculus import (
     CalculusSpec,
     PRESETS,
@@ -559,12 +561,21 @@ _OPERATING_CONTEXT = {
 }
 _SYMM = '(symm [0] "b=a |- a=b"\n  (init [0;0] "a=b |- a=b"))'
 _REP = '(rep [0;1;0] "a=b, P(a) |- P(b)"\n  (init [2;0] "a=b, P(a), P(b) |- P(b)"))'
+# tall spines: 300 nodes, 40 for cut elimination and 60 for a translation
+# into a non-native target, whose costs grow faster than the height
+_TALL = print_derivation(valid_spine(300))
 _PIN_FIXED = {
-    "eliminate-rep1r": [(_OPERATING_CONTEXT[1], {})],
-    "eliminate-rep2r": [(_OPERATING_CONTEXT[2], {})],
+    "cut-eliminate": [(print_derivation(valid_spine(40)), {})],
+    "right-normalize": [(print_derivation(eq_spine([1 if k % 7 else 0 for k in range(299)])), {})],
+    "eliminate-rep1r": [(_OPERATING_CONTEXT[1], {}), (_TALL, {})],
+    "eliminate-rep2r": [(_OPERATING_CONTEXT[2], {}), (_TALL, {})],
+    "single-occurrence": [(_TALL, {"preset": "R12rl"})],
+    "semishorten": [(_TALL, {})],
+    "project": [(_TALL, {"preset": "R12rl"})],
     "scope-restrict": [
         ('(rep1r [0;0;0] "a=b, P(a) |- P(b)"\n  (init [1;0] "a=b, P(a) |- P(a)"))', {}),
         ('(rep2r [0;0;0] "a=b, P(b) |- P(a)"\n  (init [1;0] "a=b, P(b) |- P(b)"))', {}),
+        (_TALL, {}),
     ],
     # one symmetry block per succedent rule, then the left-rule routes
     "translate": [
@@ -574,18 +585,22 @@ _PIN_FIXED = {
         )
     ]
     # a left rule that keeps its context, into strict, flipped and right-rule targets
-    + [(_REP, {"source": "RefRep", "target": target}) for target in ("RefRep2L", "R1rl", "R12r")],
+    + [(_REP, {"source": "RefRep", "target": target}) for target in ("RefRep2L", "R1rl", "R12r")]
+    + [
+        (_TALL, {"source": "R12r", "target": "R12rl"}),
+        (print_derivation(valid_spine(60)), {"source": "R12r", "target": "R1rl"}),
+    ],
 }
 _PINNED = {
-    "cut-eliminate": "6c7d7409fd6653d2937a663e75ee01b48e550ff040b43a506eb21c8134ced1be",
-    "right-normalize": "1081559d10159d0e97452e04820b771858a09ea90d4724851a1f85a3fc575a8b",
-    "scope-restrict": "1c6d395fdc6543d41b8b3866fdb8d5dc7b5a0d0700c91af34d6620219b9c2b65",
-    "eliminate-rep1r": "e3e0028848d5aef27d44709b776c7a8a992765c8cbadc93154a5424f89f11470",
-    "eliminate-rep2r": "c21dcfc55d59e7c206c2fb8c5c4a3494b1c43454c80e6bb9368d57f850a964da",
-    "single-occurrence": "bf325d7fbaa0d17012ca6c354b7be0559441ea6532aff243b05bfb30d0679b76",
-    "semishorten": "2c8e391aeb752bce6e9747ac46d45e8b0c51f154cfcc37a2ecc060f00145a83d",
-    "project": "c83fa2e9e052bb4fe1ae76e8f572b4a3dc0106f3f156721b5e86ad2044a3d1cf",
-    "translate": "3191661d4416ee8dfea7357629506addab6525e88d46c7f1d3f829e50a6edd98",
+    "cut-eliminate": "182f48705b8925df31e311472d35ba7df5a5b826689811c8a324f402f8ece0af",
+    "right-normalize": "17943c2ad62e04d9324028e913d4403c0401bb3934a75700e6a0ba3c671d06e5",
+    "scope-restrict": "07a32d141f71c120c1a325cdd2a526da7b803199780c3f6fb052c37f291d3796",
+    "eliminate-rep1r": "4c11cc56da632a21f87e863bba74d33585d4551ffdaacb8964fd7ea68b0c7030",
+    "eliminate-rep2r": "3d272c5a9c4f0e710d164456b83d28b511c4ae3c603c25f4b183d5b8a0d33142",
+    "single-occurrence": "3eda84ea3aeabfb8e22f54197193d06ef46c9fe7005f779aee107b186de456eb",
+    "semishorten": "010f45501af5b9b2adbf8523e89212096660ad272b21b47d811f4e55b518621a",
+    "project": "f5499e402e1d21e397f7569c801fd3c3fcd6f8cb7a7093f152576a45d947f9c1",
+    "translate": "2b9f91ac69356134f42f7c22dae3e32fabf2be6c9d766466c21b093fd6dff272",
 }
 
 
@@ -623,6 +638,40 @@ def _pin_runs(op):
 def test_transform_outputs_pinned(op):
     text = _pin_runs(op)
     assert hashlib.sha256(text.encode()).hexdigest() == _PINNED[op]
+
+
+def test_no_transform_function_calls_itself():
+    # every walk goes through one explicit stack, transform._run
+    tree = ast.parse(pathlib.Path(tf.__file__).read_text(encoding="utf-8"))
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            called = {c.func.id for c in ast.walk(fn) if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
+            assert fn.name not in called, fn.name
+
+
+def test_tall_spines_transform_without_recursion():
+    # 3,000 nodes, far past the recursion limit; every op but cut elimination,
+    # whose output grows too fast for a tall input (the CLI test re-checks them)
+    from eqseq.cli import _TRANSFORMS
+
+    tall = valid_spine(3_000)
+    assert tf.renormalize(tall, R12r) == tall
+    weak = tf.weaken_hp(tall, parse_formula("Q(a)"), "ante", R12r)
+    assert weak.height == tall.height and check(weak, R12r).valid
+    extra = {
+        "single-occurrence": {"preset": "R12rl"},
+        "project": {"preset": "R12rl"},
+        "translate": {"source": "R12r", "target": "R12rl"},
+    }
+    for op, (transform, _before) in _TRANSFORMS.items():
+        if op == "cut-eliminate":
+            continue
+        d = eq_spine([1 if k % 1000 else 0 for k in range(2_999)]) if op == "right-normalize" else tall
+        args = argparse.Namespace(
+            **{"preset": None, "spec": None, "prec": None, "source": None, "target": None, **extra.get(op, {})}
+        )
+        out, _target = transform(d, args, {})
+        assert out.sequent == d.sequent and out.height <= d.height, op
 
 
 def test_semishorten_target_is_the_oriented_preset():
