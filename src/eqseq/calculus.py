@@ -758,35 +758,32 @@ def _first_occurrence_subsets(fs: tuple[Formula, ...], exclude: int | None = Non
 
 
 def _split_parts(fs: tuple[Formula, ...], splits) -> list[tuple]:
-    """``(split, chosen, chosen keys, rest, rest keys)`` for each index split
-    of ``fs``; the rest keeps its order."""
-    out = []
-    for sub in splits:
-        chosen = tuple(fs[k] for k in sub)
-        rest = tuple(f for k, f in enumerate(fs) if k not in sub)
-        out.append((sub, chosen, tuple(map(repr, chosen)), rest, tuple(map(repr, rest))))
-    return out
+    """``(split, chosen, rest)`` for each index split of ``fs``; the rest
+    keeps its order."""
+    return [
+        (sub, tuple(fs[k] for k in sub), tuple(f for k, f in enumerate(fs) if k not in sub))
+        for sub in splits
+    ]
 
 
 class MovePool:
     """What the moves of one search share, so that each is built once: one
-    sequent object per ordered list of formulas, keyed by their ``repr``, a
-    number per multiset pair, and the rewrites of each context formula."""
+    sequent object per ordered list of formulas, a number per multiset pair,
+    and the rewrites of each context formula."""
 
     def __init__(self) -> None:
         self._sequents: dict[tuple, Sequent] = {}
         self._rewrites: dict[tuple, list] = {}
-        self._multisets: dict[tuple, int] = {}
+        self._multisets: dict[Sequent, int] = {}
         self._multiset_of: dict[int, int] = {}
 
-    def sequent(self, ante, ante_keys, succ, succ_keys) -> Sequent:
-        """The sequent ``ante |- succ``; the keys are the formulas' ``repr``."""
-        key = (ante_keys, succ_keys)
+    def sequent(self, ante, succ) -> Sequent:
+        """The sequent ``ante |- succ``."""
+        key = (ante, succ)
         seq = self._sequents.get(key)
         if seq is None:
             seq = self._sequents[key] = Sequent(ante, succ)
-            multiset = (tuple(sorted(ante_keys)), tuple(sorted(succ_keys)))
-            self._multiset_of[id(seq)] = self._multisets.setdefault(multiset, len(self._multisets))
+            self._multiset_of[id(seq)] = self._multisets.setdefault(seq, len(self._multisets))
         return seq
 
     def multiset(self, seq: Sequent) -> int:
@@ -795,18 +792,18 @@ class MovePool:
 
     def share(self, seq: Sequent) -> Sequent:
         """The pooled sequent with the formulas of ``seq``, in their order."""
-        return self.sequent(seq.ante, tuple(map(repr, seq.ante)), seq.succ, tuple(map(repr, seq.succ)))
+        return self.sequent(seq.ante, seq.succ)
 
     def rewrites(self, ctx: Formula, frm: Term, to: Term) -> list[tuple]:
-        """``(paths, rewritten ctx, its key)`` for every nonempty set of
-        nonoverlapping occurrences of ``frm`` in ``ctx``, replaced by ``to``."""
-        key = (repr(ctx), repr(frm), repr(to))
+        """``(paths, rewritten ctx)`` for every nonempty set of nonoverlapping
+        occurrences of ``frm`` in ``ctx``, replaced by ``to``."""
+        key = (ctx, frm, to)
         out = self._rewrites.get(key)
         if out is None:
-            out = self._rewrites[key] = []
-            for paths in _nonempty_nonoverlapping_subsets(occurrences(ctx, frm)):
-                new = replace_at(ctx, set(paths), frm, to)
-                out.append((paths, new, repr(new)))
+            out = self._rewrites[key] = [
+                (paths, replace_at(ctx, set(paths), frm, to))
+                for paths in _nonempty_nonoverlapping_subsets(occurrences(ctx, frm))
+            ]
         return out
 
 
@@ -901,8 +898,6 @@ def expansions(
             else:
                 add(RuleInstance(rule, principal))
 
-    ante_keys, succ_keys = tuple(map(repr, ante)), tuple(map(repr, succ))
-
     # replacement rules: one premiss, the context formula rewritten in place
     # (or, for retained contexts, the rewritten copy put after it)
     replacements = [(rule, sig) for rule, sig in spec._signatures if sig.index]
@@ -913,35 +908,22 @@ def expansions(
             if not _passes(_check_orientation, spec, sig.index, op):
                 continue
             if sig.context_side == "s":
-                if sig.retention == "keep":
-                    new_ante, new_ante_keys = ante, ante_keys
-                else:
-                    new_ante, new_ante_keys = remove_at(ante, e), remove_at(ante_keys, e)
+                new_ante = ante if sig.retention == "keep" else remove_at(ante, e)
                 for j, ctx in enumerate(succ):
                     if not is_atomic(ctx):
                         continue
-                    for paths, new, new_key in pool.rewrites(ctx, *sig.terms(op)):
+                    for paths, new in pool.rewrites(ctx, *sig.terms(op)):
                         if _passes(_check_flags_right, spec, rule, ctx, paths):
-                            premiss = pool.sequent(
-                                new_ante,
-                                new_ante_keys,
-                                replace_formula(succ, j, new),
-                                replace_formula(succ_keys, j, new_key),
-                            )
+                            premiss = pool.sequent(new_ante, replace_formula(succ, j, new))
                             out.append((repl_inst(rule, e, j, paths), [premiss]))
             else:
                 for i, ctx in enumerate(ante):
                     if i == e or not is_atomic(ctx):
                         continue
                     at = i + 1 if sig.keeps_context(ctx) else i
-                    for paths, new, new_key in pool.rewrites(ctx, *sig.terms(op)):
+                    for paths, new in pool.rewrites(ctx, *sig.terms(op)):
                         if _passes(_check_flags_left, spec, ctx, paths):
-                            premiss = pool.sequent(
-                                ante[:at] + (new,) + ante[i + 1 :],
-                                ante_keys[:at] + (new_key,) + ante_keys[i + 1 :],
-                                succ,
-                                succ_keys,
-                            )
+                            premiss = pool.sequent(ante[:at] + (new,) + ante[i + 1 :], succ)
                             out.append((repl_inst(rule, e, i, paths), [premiss]))
 
     # cng: the chosen context proves r=s, the rest has the context formula
@@ -952,14 +934,10 @@ def expansions(
         for j, ctx in enumerate(succ):
             if not is_atomic(ctx):
                 continue
-            succ_parts = []  # (split, chosen, keys, rest before and after the context, keys)
-            for s1, chosen, chosen_keys, rest, rest_keys in _split_parts(
-                succ, _first_occurrence_subsets(succ, exclude=j)
-            ):
+            succ_parts = []  # (split, chosen, rest before and after the context)
+            for s1, chosen, rest in _split_parts(succ, _first_occurrence_subsets(succ, exclude=j)):
                 at = j - sum(1 for k in s1 if k < j)  # the context's place in the rest
-                succ_parts.append(
-                    (s1, chosen, chosen_keys, rest[:at], rest_keys[:at], rest[at + 1 :], rest_keys[at + 1 :])
-                )
+                succ_parts.append((s1, chosen, rest[:at], rest[at + 1 :]))
             ctx_terms = _sorted_universe({t for s in _top_terms(ctx) for t in subterms(s)})
             for s_term in ctx_terms:
                 by_witness = [(r, Eq(r, s_term), pool.rewrites(ctx, s_term, r)) for r in terms]
@@ -968,20 +946,13 @@ def expansions(
                         continue
                     rep = Replacement(None, j, paths)
                     for r_term, eq, rewritten in by_witness:
-                        _, new, new_key = rewritten[k]
-                        eq_key = repr(eq)
-                        sides = [
-                            (s1, s_in + (eq,), s_keys + (eq_key,), pre + (new,) + post, pre_k + (new_key,) + post_k)
-                            for s1, s_in, s_keys, pre, pre_k, post, post_k in succ_parts
-                        ]
-                        for a1, a_in, a_in_keys, a_out, a_out_keys in ante_parts:
-                            for s1, first_succ, first_keys, second_succ, second_keys in sides:
+                        new = rewritten[k][1]
+                        sides = [(s1, s_in + (eq,), pre + (new,) + post) for s1, s_in, pre, post in succ_parts]
+                        for a1, a_in, a_out in ante_parts:
+                            for s1, first_succ, second_succ in sides:
                                 out.append((
                                     RuleInstance(RuleId.CNG, replacement=rep, witness=r_term, split=(a1, s1)),
-                                    [
-                                        pool.sequent(a_in, a_in_keys, first_succ, first_keys),
-                                        pool.sequent(a_out, a_out_keys, second_succ, second_keys),
-                                    ],
+                                    [pool.sequent(a_in, first_succ), pool.sequent(a_out, second_succ)],
                                 ))
 
     if spec.allows(RuleId.CUT):
@@ -993,15 +964,11 @@ def expansions(
         ante_parts = _split_parts(ante, _first_occurrence_subsets(ante))
         succ_parts = _split_parts(succ, _first_occurrence_subsets(succ))
         for a in candidates:
-            a_key = repr(a)
-            for a1, a_in, a_in_keys, a_out, a_out_keys in ante_parts:
-                for s1, s_in, s_in_keys, s_out, s_out_keys in succ_parts:
+            for a1, a_in, a_out in ante_parts:
+                for s1, s_in, s_out in succ_parts:
                     out.append((
                         RuleInstance(RuleId.CUT, cut_formula=a, split=(a1, s1)),
-                        [
-                            pool.sequent(a_in, a_in_keys, s_in + (a,), s_in_keys + (a_key,)),
-                            pool.sequent((a,) + a_out, (a_key,) + a_out_keys, s_out, s_out_keys),
-                        ],
+                        [pool.sequent(a_in, s_in + (a,)), pool.sequent((a,) + a_out, s_out)],
                     ))
 
     return out

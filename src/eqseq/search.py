@@ -83,7 +83,7 @@ class SearchLimits:
         if self.max_depth <= 0 or self.term_height <= 0 or self.node_budget <= 0:
             raise SearchError("all search bounds must be positive")
         if self.universe is not None:
-            for t in self.universe:
+            for t in _sorted_universe(self.universe):
                 if not subterms(t) <= self.universe:
                     raise SearchError(f"universe is not closed under subterms at {t}")
 

@@ -2,14 +2,19 @@
 
 Parameters stand uniformly for constants and free variables; bound
 variables are a separate node kind and are only legal under a binder of
-the same name.  All values are immutable and hashable, so they can be
-shared freely between concurrent workers.
+the same name.  All values are immutable.
+
+Terms and formulas are interned: building a node whose class and fields
+match a live node returns that node, so within one process there is one
+object per structure, and ``==`` and ``hash`` are the object's own.  The
+table holds its nodes weakly, so a node nobody references is released.  The
+invariant holds per process: a pickled or copied node would be a second
+object for its structure, and nothing in the package pickles or copies one.
 """
 from __future__ import annotations
 
-import dataclasses
+import weakref
 from dataclasses import dataclass, field
-from collections import Counter
 from functools import cached_property
 
 
@@ -21,35 +26,33 @@ class SyntaxInvariantError(EqSeqError):
     """A term/formula operation was applied outside its precondition."""
 
 
-def _cached_repr(cls):
-    """The dataclass ``repr``, kept on each instance once computed: sequents
-    compare formulas by it, and a new formula shares most of its subterms."""
-    head = cls.__qualname__ + "("
-    names = tuple(f.name for f in dataclasses.fields(cls))
+# the live term and formula nodes, keyed by their class and fields
+_table: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
-    def __repr__(self) -> str:
-        try:
-            return self.__dict__["_repr"]
-        except KeyError:
-            text = head + ", ".join([f"{n}={getattr(self, n)!r}" for n in names]) + ")"
-            object.__setattr__(self, "_repr", text)
-            return text
 
-    cls.__repr__ = __repr__
-    return cls
+class _Interned(type):
+    """Metaclass of the term and formula nodes: a constructor call returns the
+    live node with the same class and fields when there is one."""
+
+    def __call__(cls, *fields):
+        key = (cls, *fields)
+        node = _table.get(key)
+        if node is None:
+            node = _table[key] = super().__call__(*fields)
+        return node
 
 
 # ---------------------------------------------------------------------------
 # Terms
 
 
-@dataclass(frozen=True)
-class Term:
-    pass
+@dataclass(frozen=True, eq=False)
+class Term(metaclass=_Interned):
+    height = 0
+    has_bound = False
 
 
-@_cached_repr
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Param(Term):
     """A constant or free variable (the calculi never distinguish them)."""
 
@@ -59,34 +62,48 @@ class Param(Term):
         return self.name
 
 
-@_cached_repr
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundVar(Term):
     name: str
+    has_bound = True
 
     def __str__(self) -> str:
         return self.name
 
 
-@_cached_repr
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunApp(Term):
     sym: str
     args: tuple[Term, ...]
+    height: int = field(init=False, repr=False)
+    has_bound: bool = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        height, has_bound = 0, False
+        for a in self.args:
+            height = max(height, a.height)
+            has_bound = has_bound or a.has_bound
+        object.__setattr__(self, "height", height + 1)
+        object.__setattr__(self, "has_bound", has_bound)
 
     def __str__(self) -> str:
-        if not self.args:
-            return f"{self.sym}()"
-        return f"{self.sym}({', '.join(str(a) for a in self.args)})"
+        out: list[str] = []
+        stack: list[Term | str] = [self]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, FunApp):
+                out.append(t.sym + "(")
+                # pushed in reverse: the arguments pop first to last, then ")"
+                stack.append(")")
+                stack += [x for a in reversed(t.args) for x in (", ", a)][1:]
+            else:
+                out.append(str(t))
+        return "".join(out)
 
 
 def term_height(t: Term) -> int:
     """Height of the formation tree; parameters and bound variables are 0."""
-    if isinstance(t, FunApp):
-        if not t.args:
-            return 1
-        return 1 + max(term_height(a) for a in t.args)
-    return 0
+    return t.height
 
 
 def term_params(t: Term) -> set[str]:
@@ -101,11 +118,7 @@ def term_params(t: Term) -> set[str]:
 
 
 def term_has_bound(t: Term) -> bool:
-    if isinstance(t, BoundVar):
-        return True
-    if isinstance(t, FunApp):
-        return any(term_has_bound(a) for a in t.args)
-    return False
+    return t.has_bound
 
 
 def subterms(t: Term) -> set[Term]:
@@ -120,13 +133,12 @@ def subterms(t: Term) -> set[Term]:
 # Formulas
 
 
-@dataclass(frozen=True)
-class Formula:
+@dataclass(frozen=True, eq=False)
+class Formula(metaclass=_Interned):
     pass
 
 
-@_cached_repr
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Atom(Formula):
     pred: str
     args: tuple[Term, ...]
@@ -137,8 +149,7 @@ class Atom(Formula):
         return f"{self.pred}({', '.join(str(a) for a in self.args)})"
 
 
-@_cached_repr
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Eq(Formula):
     lhs: Term
     rhs: Term
@@ -147,8 +158,7 @@ class Eq(Formula):
         return f"{self.lhs} = {self.rhs}"
 
 
-@_cached_repr
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bottom(Formula):
     def __str__(self) -> str:
         return "bot"
@@ -157,36 +167,31 @@ class Bottom(Formula):
 BOT = Bottom()
 
 
-@_cached_repr
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@_cached_repr
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@_cached_repr
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Imp(Formula):
     left: Formula
     right: Formula
 
 
-@_cached_repr
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Forall(Formula):
     var: str
     body: Formula
 
 
-@_cached_repr
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Exists(Formula):
     var: str
     body: Formula
@@ -373,8 +378,10 @@ def replace_at(f: Formula, paths: frozenset[Path] | set[Path], frm: Term, to: Te
 # Sequents
 
 
-def _multiset_key(fs: tuple[Formula, ...]) -> tuple:
-    return tuple(sorted(Counter(map(repr, fs)).items()))
+def _multiset_key(fs: tuple[Formula, ...]) -> tuple[Formula, ...]:
+    """The formulas in address order: one order per multiset, as equal
+    formulas are one object."""
+    return tuple(sorted(fs, key=id))
 
 
 @dataclass(frozen=True, eq=False)

@@ -154,11 +154,14 @@ def test_uncaught_exception_exits_2_with_one_line(capsys, monkeypatch):
     monkeypatch.setattr(eqseq.search, "prove", broken)
     code, out, err = invoke(capsys, "prove", "a=b |- a=b", "--preset", "R12r")
     assert (code, out, err) == (2, "", "error: RuntimeError: boom second line\n")
-    monkeypatch.undo()
-    # a term too deep for the recursive traversals: never a traceback or exit 1
+
+
+def test_prove_deep_term(capsys):
+    # height 300: interned terms compare and print without recursing
     deep = "f(" * 300 + "a" + ")" * 300
-    code, _, err = invoke(capsys, "prove", f"{deep} = b |- b = {deep}", "--preset", "R12r")
-    assert code == 0 or (code, err.count("\n"), err[:7]) == (2, 1, "error: ")
+    code, out, err = invoke(capsys, "prove", f"{deep} = b |- b = {deep}", "--preset", "R12r")
+    assert (code, err) == (0, "")
+    assert "result: proved" in out and "height: 1" in out
 
 
 def test_check_deep_derivation_file(tmp_path, capsys):
@@ -196,6 +199,26 @@ def test_unknown_precedence_exits_2(tmp_path, capsys):
     assert (code, err) == (2, "error: unknown precedence 'depth' (use height, none or @file)\n")
     code, _, err = invoke(capsys, "check", str(drv), "--spec", "base=none rules=refax prec=depth")
     assert (code, err) == (2, "error: unknown precedence 'depth' (use height, none or @file)\n")
+
+
+def _cli_env():
+    import eqseq
+
+    src = str(pathlib.Path(eqseq.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_universe_closure_error_names_a_fixed_term(tmp_path):
+    # the first unclosed term in the universe's sorted order, whatever the hash layout
+    universe = tmp_path / "u.txt"
+    universe.write_text("f(a)\ng(b)\nh(c)\nk(d)\n")
+    argv = ["prove", "--preset", "R12r", "a = b |- b = a", "--universe-file", str(universe)]
+    for seed in range(1, 5):
+        proc = subprocess.run(
+            [sys.executable, "-m", "eqseq.cli", *argv],
+            capture_output=True, text=True, env={**_cli_env(), "PYTHONHASHSEED": str(seed)},
+        )
+        assert (proc.returncode, proc.stderr) == (2, "error: universe is not closed under subterms at f(a)\n")
 
 
 def test_reports_deterministic_modulo_timing(capsys):
@@ -280,12 +303,8 @@ print(code, *ran)
     ],
 )
 def test_commands_load_only_the_modules_they_run(argv, ran):
-    import eqseq
-
-    src = str(pathlib.Path(eqseq.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-c", _RUN_AND_LIST_LOADED, *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-c", _RUN_AND_LIST_LOADED, *argv], capture_output=True, text=True, env=_cli_env()
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].split() == ["0", *ran]

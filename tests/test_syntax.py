@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -125,6 +127,57 @@ def test_sequent_multiset_semantics():
     assert s1 == s2
     assert hash(s1) == hash(s2)
     assert s1 != s3
+
+
+def test_equal_structures_are_one_object():
+    from eqseq.parser import parse_formula, parse_term
+    from eqseq.syntax import BOT, And, Bottom, Exists, Formula, Imp, Or, Term
+
+    g = FunApp("g", (b,))
+    assert parse_term("f(a, g(b))") is FunApp("f", (Param("a"), g))
+    assert parse_formula("P(f(a)) & a = g(b)") is And(Atom("P", (f(a),)), Eq(a, g))
+    assert parse_formula("forall x. P(x) -> bot") is Forall("x", Imp(Atom("P", (BoundVar("x"),)), BOT))
+    assert Param("a") is not BoundVar("a")
+    assert Bottom() is BOT
+    for cls in (Param, BoundVar, FunApp, Atom, Eq, Bottom, And, Or, Imp, Forall, Exists, Term, Formula):
+        assert (cls.__eq__, cls.__hash__) == (object.__eq__, object.__hash__), cls
+
+
+_symbols = st.sampled_from([("f", 1), ("g", 2), ("h", 0)])
+closed_terms = st.recursive(
+    st.sampled_from(["a", "b"]).map(Param),
+    lambda sub: _symbols.flatmap(
+        lambda sym: st.tuples(*[sub] * sym[1]).map(lambda args: FunApp(sym[0], args))
+    ),
+    max_leaves=8,
+)
+
+
+def _reference_height(t):
+    return 1 + max(map(_reference_height, t.args), default=0) if isinstance(t, FunApp) else 0
+
+
+@given(closed_terms, closed_terms)
+def test_interned_terms_are_equal_exactly_when_printed_alike(t1, t2):
+    assert (t1 is t2) == (str(t1) == str(t2))
+    assert term_height(t1) == _reference_height(t1)
+
+
+def test_intern_table_releases_unreferenced_nodes():
+    from eqseq import syntax
+
+    gc.collect()
+    before = len(syntax._table)
+    t = Param("released")
+    for _ in range(999):
+        t = FunApp("released", (t,))
+    assert len(syntax._table) == before + 1000
+    # past the recursion limit: height, bound-variable test and printing do not recurse
+    assert (term_height(t), syntax.term_has_bound(t)) == (999, False)
+    assert str(t) == "released(" * 999 + "released" + ")" * 999
+    del t
+    gc.collect()
+    assert len(syntax._table) == before
 
 
 def test_identity_and_height():
