@@ -726,7 +726,17 @@ def _nonempty_nonoverlapping_subsets(occ: list[Path]) -> list[tuple[Path, ...]]:
 
 
 def _sorted_universe(universe) -> list[Term]:
-    return sorted(universe, key=lambda t: (term_height(t), str(t)))
+    """The terms by height, and by printed text within one height; a term is
+    printed only when another shares its height, as printing a deep term
+    costs its size."""
+    by_height: dict[int, list[Term]] = {}
+    for t in universe:
+        by_height.setdefault(t.height, []).append(t)
+    out: list[Term] = []
+    for h in sorted(by_height):
+        ts = by_height[h]
+        out += sorted(ts, key=str) if len(ts) > 1 else ts
+    return out
 
 
 def _subsets(n: int):

@@ -40,6 +40,7 @@ from .syntax import (
     Sequent,
     Term,
     formula_params,
+    replace_leaf,
 )
 
 
@@ -138,6 +139,10 @@ class _Lexer:
         raise ParseError(f"unexpected character {c!r}", self.span(pos, pos + 1))
 
 
+# the binary connectives, loosest first
+_CONNECTIVES = (("->", Imp), ("|", Or), ("&", And))
+
+
 class _Parser:
     """Recursive-descent parser over the token stream.
 
@@ -215,50 +220,53 @@ class _Parser:
     # -- terms
 
     def term(self, bound: frozenset[str]) -> Term:
-        tok = self.next()
-        kind, name = tok[0], tok[1]
-        if kind != "ident" or not (name[0].islower() or name[0] == "_"):
-            raise ParseError(f"expected a term, found {name!r}", self._span(tok))
-        if self.at("("):
-            self.expect("(")
-            args: list[Term] = []
-            if not self.at(")"):
-                args.append(self.term(bound))
-                while self.at(","):
+        # the open applications, innermost last, each with the arguments read
+        # so far: a tall term would pass the recursion limit
+        open_apps: list[tuple[_Token, list[Term]]] = []
+        while True:
+            tok = self.next()
+            kind, name = tok[0], tok[1]
+            if kind != "ident" or not (name[0].islower() or name[0] == "_"):
+                raise ParseError(f"expected a term, found {name!r}", self._span(tok))
+            if self.at("("):
+                self.expect("(")
+                if not self.at(")"):
+                    open_apps.append((tok, []))
+                    continue
+                self.expect(")")
+                self._check_fun(tok, 0)
+                t = FunApp(name, ())
+            else:
+                t = BoundVar(name) if name in bound else Param(name)
+            while open_apps:
+                fun, args = open_apps[-1]
+                args.append(t)
+                if self.at(","):
                     self.expect(",")
-                    args.append(self.term(bound))
-            self.expect(")")
-            self._check_fun(tok, len(args))
-            return FunApp(name, tuple(args))
-        if name in bound:
-            return BoundVar(name)
-        return Param(name)
+                    break
+                self.expect(")")
+                self._check_fun(fun, len(args))
+                open_apps.pop()
+                t = FunApp(fun[1], tuple(args))
+            else:
+                return t
 
     # -- formulas
 
-    def formula(self, bound: frozenset[str] = frozenset()) -> Formula:
-        return self._imp(bound)
-
-    def _imp(self, bound: frozenset[str]) -> Formula:
-        left = self._or(bound)
-        if self.at("->"):
-            self.expect("->")
-            return Imp(left, self._imp(bound))
-        return left
-
-    def _or(self, bound: frozenset[str]) -> Formula:
-        left = self._and(bound)
-        if self.at("|"):
-            self.expect("|")
-            return Or(left, self._or(bound))
-        return left
-
-    def _and(self, bound: frozenset[str]) -> Formula:
-        left = self._unit(bound)
-        if self.at("&"):
-            self.expect("&")
-            return And(left, self._and(bound))
-        return left
+    def formula(self, bound: frozenset[str] = frozenset(), level: int = 0) -> Formula:
+        """The formula at ``level`` of :data:`_CONNECTIVES`: its operands, one
+        level tighter, folded to the right."""
+        if level == len(_CONNECTIVES):
+            return self._unit(bound)
+        op, cls = _CONNECTIVES[level]
+        operands = [self.formula(bound, level + 1)]
+        while self.at(op):
+            self.expect(op)
+            operands.append(self.formula(bound, level + 1))
+        f = operands.pop()
+        while operands:
+            f = cls(operands.pop(), f)
+        return f
 
     def _unit(self, bound: frozenset[str]) -> Formula:
         tok = self.peek()
@@ -349,42 +357,37 @@ class _Parser:
 
 
 def _rename_binders_apart(f: Formula) -> Formula:
-    """Rename quantifier variables that collide with parameter names."""
+    """Rename quantifier variables that collide with parameter names.  A
+    colliding binder takes its name with primes appended until it is no
+    parameter, no enclosing binder and no binder inside its body, so the
+    renaming captures no variable."""
     params = formula_params(f)
 
-    def fresh(name: str, taken: set[str]) -> str:
-        cand = name
-        while cand in taken:
-            cand += "'"
-        return cand
+    def binders(g: Formula) -> set[str]:
+        out: set[str] = set()
+        stack = [g]
+        while stack:
+            h = stack.pop()
+            if isinstance(h, (And, Or, Imp)):
+                stack += (h.left, h.right)
+            elif isinstance(h, (Forall, Exists)):
+                out.add(h.var)
+                stack.append(h.body)
+        return out
 
+    # ``renaming`` maps each enclosing binder's name to its new one
     def walk(g: Formula, renaming: dict[str, str]) -> Formula:
-        if isinstance(g, Atom):
-            return Atom(g.pred, tuple(walk_term(t, renaming) for t in g.args))
-        if isinstance(g, Eq):
-            return Eq(walk_term(g.lhs, renaming), walk_term(g.rhs, renaming))
-        if isinstance(g, And):
-            return And(walk(g.left, renaming), walk(g.right, renaming))
-        if isinstance(g, Or):
-            return Or(walk(g.left, renaming), walk(g.right, renaming))
-        if isinstance(g, Imp):
-            return Imp(walk(g.left, renaming), walk(g.right, renaming))
+        if isinstance(g, (And, Or, Imp)):
+            return type(g)(walk(g.left, renaming), walk(g.right, renaming))
         if isinstance(g, (Forall, Exists)):
-            newvar = g.var
-            if g.var in params:
-                newvar = fresh(g.var, params | set(renaming.values()))
-            sub = dict(renaming)
-            sub[g.var] = newvar
-            body = walk(g.body, sub)
-            return Forall(newvar, body) if isinstance(g, Forall) else Exists(newvar, body)
+            var, body = g.var, g.body
+            if var in params:
+                taken = params | set(renaming.values()) | binders(body)
+                while var in taken:
+                    var += "'"
+                body = replace_leaf(body, BoundVar(g.var), BoundVar(var))
+            return type(g)(var, walk(body, {**renaming, g.var: var}))
         return g
-
-    def walk_term(t: Term, renaming: dict[str, str]) -> Term:
-        if isinstance(t, BoundVar):
-            return BoundVar(renaming.get(t.name, t.name))
-        if isinstance(t, FunApp):
-            return FunApp(t.sym, tuple(walk_term(a, renaming) for a in t.args))
-        return t
 
     return walk(f, {})
 

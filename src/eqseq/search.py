@@ -4,7 +4,7 @@ procedure for function-free atomic sequents via congruence chains.
 The forward appliers here implement the rules premiss-to-conclusion and are
 written independently of :func:`eqseq.calculus.premisses_of`, so saturation
 can serve as a brute-force oracle against both the backward search and the
-union-find decision procedure.
+chain decision procedure.
 """
 from __future__ import annotations
 
@@ -702,27 +702,6 @@ def _validate_function_free(goal: Sequent) -> None:
             raise FunctionSymbolsPresentError(f"function-symbols-present: {f}")
 
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict[str, str] = {}
-
-    def find(self, x: str) -> str:
-        p = self.parent.setdefault(x, x)
-        while p != x:
-            self.parent[x] = self.parent.setdefault(p, p)
-            x = self.parent[x]
-            p = self.parent.setdefault(x, x)
-        return x
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def same(self, a: str, b: str) -> bool:
-        return self.find(a) == self.find(b)
-
-
 def _equality_graph(ante: tuple[Formula, ...]) -> dict[str, list[tuple[str, Eq, bool]]]:
     graph: dict[str, list[tuple[str, Eq, bool]]] = {}
     for f in ante:
@@ -770,34 +749,28 @@ def chain_extract(ante, a: Term, b: Term) -> Chain | None:
 def decide_function_free(goal: Sequent) -> WitnessPlan | DecidedUnderivable:
     """Exact derivability for function-free atomic sequents.
 
-    For an equality goal, derivable iff the endpoints are congruent under the
-    antecedent equalities; for a predicate goal, derivable iff some antecedent
-    atom with the same predicate matches argumentwise up to congruence.
+    For an equality goal, derivable iff a chain of antecedent equalities
+    joins the endpoints; for a predicate goal, derivable iff some antecedent
+    atom with the same predicate is joined to it argumentwise by chains.
+    The chains found are the witness plan.
     """
     _validate_function_free(goal)
-    uf = _UnionFind()
-    for f in goal.ante:
-        if isinstance(f, Eq):
-            uf.union(f.lhs.name, f.rhs.name)  # type: ignore[union-attr]
     target = goal.succ[0]
     if isinstance(target, Eq):
-        a, b = target.lhs, target.rhs
-        if uf.same(a.name, b.name):  # type: ignore[union-attr]
-            chain = chain_extract(goal.ante, a, b)
-            assert chain is not None
+        chain = chain_extract(goal.ante, target.lhs, target.rhs)
+        if chain is not None:
             return WitnessPlan(goal, None, (chain,))
         return DecidedUnderivable("no chain connects the equated terms")
     for i, f in enumerate(goal.ante):
         if isinstance(f, Atom) and f.pred == target.pred and len(f.args) == len(target.args):
-            if all(
-                uf.same(x.name, y.name)  # type: ignore[union-attr]
-                for x, y in zip(f.args, target.args)
-            ):
-                chains = tuple(
-                    chain_extract(goal.ante, x, y) for x, y in zip(f.args, target.args)
-                )
-                assert all(c is not None for c in chains)
-                return WitnessPlan(goal, i, chains)  # type: ignore[arg-type]
+            chains = []
+            for x, y in zip(f.args, target.args):
+                chain = chain_extract(goal.ante, x, y)
+                if chain is None:
+                    break
+                chains.append(chain)
+            else:
+                return WitnessPlan(goal, i, tuple(chains))
     return DecidedUnderivable("no antecedent atom matches argumentwise up to congruence")
 
 

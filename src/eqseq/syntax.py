@@ -106,26 +106,22 @@ def term_height(t: Term) -> int:
     return t.height
 
 
-def term_params(t: Term) -> set[str]:
-    if isinstance(t, Param):
-        return {t.name}
-    if isinstance(t, FunApp):
-        out: set[str] = set()
-        for a in t.args:
-            out |= term_params(a)
-        return out
-    return set()
-
-
 def term_has_bound(t: Term) -> bool:
     return t.has_bound
 
 
 def subterms(t: Term) -> set[Term]:
+    """``t`` and every term inside it."""
+    # the result doubles as the visited set, so a shared subterm is walked once
     out = {t}
-    if isinstance(t, FunApp):
-        for a in t.args:
-            out |= subterms(a)
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        if s.height:
+            for a in s.args:
+                if a not in out:
+                    out.add(a)
+                    stack.append(a)
     return out
 
 
@@ -225,11 +221,9 @@ def atomic_parts(f: Formula) -> list[Formula]:
 
 
 def formula_params(f: Formula) -> set[str]:
-    out: set[str] = set()
-    for g in atomic_parts(f):
-        for t in _top_terms(g):
-            out |= term_params(t)
-    return out
+    return {
+        s.name for g in atomic_parts(f) for t in _top_terms(g) for s in subterms(t) if isinstance(s, Param)
+    }
 
 
 def formula_has_function_symbols(f: Formula) -> bool:
@@ -248,10 +242,21 @@ def replace_leaf(x: Term | Formula, old: Param | BoundVar, new: Term) -> Term | 
     variable only where it is free, so a quantifier binding its name is left
     whole.
     """
-    if isinstance(x, (Param, BoundVar)):
-        return new if x == old else x
-    if isinstance(x, FunApp):
-        return FunApp(x.sym, tuple(replace_leaf(a, old, new) for a in x.args))
+    if isinstance(x, Term):
+        # children first over an explicit stack; an application whose
+        # arguments all map to themselves is kept (interned: ``==`` is ``is``)
+        image: dict[Term, Term] = {old: new}
+        stack = [x] if x.height else []
+        while stack:
+            t = stack[-1]
+            todo = [a for a in t.args if a.height and a not in image]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            args = tuple([image.get(a, a) for a in t.args])
+            image[t] = t if args == t.args else FunApp(t.sym, args)
+        return image.get(x, x)
     if isinstance(x, Atom):
         return Atom(x.pred, tuple(replace_leaf(a, old, new) for a in x.args))
     if isinstance(x, Eq):
@@ -301,14 +306,6 @@ def _top_terms(f: Formula) -> tuple[Term, ...]:
     raise NonAtomicFormulaError(f"non-atomic-formula: {f}")
 
 
-def _term_occurrences(t: Term, target: Term, prefix: Path, acc: list[Path]) -> None:
-    if t == target:
-        acc.append(prefix)
-    if isinstance(t, FunApp):
-        for i, a in enumerate(t.args):
-            _term_occurrences(a, target, prefix + (i,), acc)
-
-
 def occurrences(f: Formula, t: Term) -> list[Path]:
     """All paths in the atomic formula ``f`` at which ``t`` occurs as a subterm.
 
@@ -316,8 +313,23 @@ def occurrences(f: Formula, t: Term) -> list[Path]:
     inside a matching occurrence are reported as well.
     """
     acc: list[Path] = []
-    for i, top in enumerate(_top_terms(f)):
-        _term_occurrences(top, t, (i,), acc)
+    # a stack of argument iterators, one per open term, and the path to the
+    # term each iterator last gave; only a term taller than ``t`` can hold it
+    path = [-1]
+    stack = [iter(_top_terms(f))]
+    height = t.height
+    while stack:
+        for s in stack[-1]:
+            path[-1] += 1
+            if s == t:
+                acc.append(tuple(path))
+            if s.height > height:
+                stack.append(iter(s.args))
+                path.append(-1)
+                break
+        else:
+            stack.pop()
+            path.pop()
     return acc
 
 
@@ -336,13 +348,17 @@ def term_at(f: Formula, path: Path) -> Term:
 
 def replace_in_term(t: Term, rel: Path, to: Term) -> Term:
     """Replace the subterm of ``t`` at the (term-relative) path by ``to``."""
-    if not rel:
-        return to
-    if not isinstance(t, FunApp) or rel[0] >= len(t.args):
-        raise PathError(f"path component {rel} does not resolve in {t}")
-    args = list(t.args)
-    args[rel[0]] = replace_in_term(args[rel[0]], rel[1:], to)
-    return FunApp(t.sym, tuple(args))
+    above: list[FunApp] = []
+    for k, i in enumerate(rel):
+        if not isinstance(t, FunApp) or i >= len(t.args):
+            raise PathError(f"path component {rel[k:]} does not resolve in {t}")
+        above.append(t)
+        t = t.args[i]
+    for s, i in zip(reversed(above), reversed(rel)):
+        args = list(s.args)
+        args[i] = to
+        to = FunApp(s.sym, tuple(args))
+    return to
 
 
 def paths_overlap(a: Path, b: Path) -> bool:
@@ -416,19 +432,6 @@ class Sequent:
 
     def all_formulas(self) -> tuple[Formula, ...]:
         return self.ante + self.succ
-
-
-@dataclass(frozen=True)
-class Position:
-    """One term occurrence inside a sequent, fully addressed."""
-
-    side: str  # "ante" | "succ"
-    index: int
-    path: Path = field(default=())
-
-    def resolve(self, seq: Sequent) -> Term:
-        fs = seq.ante if self.side == "ante" else seq.succ
-        return term_at(fs[self.index], self.path)
 
 
 def remove_at(fs: tuple[Formula, ...], idx: int) -> tuple[Formula, ...]:

@@ -1192,8 +1192,14 @@ def _split_mixed_sides(d: Derivation, spec: CalculusSpec) -> Derivation:
 
 def right_normalize(d: Derivation) -> Derivation:
     """Restrict every equality-context rewrite in an R12r derivation of
-    ``Γ |- p=q`` to the right-hand side, removing undesired inferences
-    topmost-first exactly as their count decreases."""
+    ``Γ |- p=q`` to the right-hand side.
+
+    Removing the undesired (left-hand-side) inferences topmost-first always
+    ends in one spine over the axiom ``Γ |- p=p``, built here from one walk
+    of the input spine.  From the axiom up it holds each undesired
+    inference, root-most first, as the other index's rewrite of the
+    right-hand side; one ``rep1r`` for an initial-sequent leaf; and then the
+    desired inferences in their order."""
     spec = PRESETS["R12r"]
     if len(d.sequent.succ) != 1 or not isinstance(d.sequent.succ[0], Eq):
         raise PreconditionError("precondition-violation: the endsequent must be a single equality")
@@ -1201,67 +1207,31 @@ def right_normalize(d: Derivation) -> Derivation:
     if not rep.valid:
         raise PreconditionError(f"precondition-violation: {rep.first_error}")
     d = _rebuild(renormalize(d, spec), partial(_split_mixed_sides, spec=spec))
-
-    def undesired(nd: Derivation) -> bool:
-        repd = nd.inst.replacement
-        return repd is not None and any(p[0] == 0 for p in repd.paths)
-
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 100_000:
-            raise MeasureError("right normalization failed to terminate")
-        nodes = _spine(d)
-        before = sum(1 for nd in nodes if undesired(nd))
-        if before == 0:
-            return d
-        # topmost undesired = the one nearest the leaf
-        k = max(i for i, nd in enumerate(nodes) if undesired(nd))
-        jnode = nodes[k]
-        above = nodes[k + 1 :]  # premiss..leaf, all desired
-        leaf_node = above[-1]
-        if leaf_node.inst.rule is RuleId.INIT:
-            # replace the initial sequent by a reflexivity axiom plus one
-            # desired right-hand-side inference
-            i0, _j0 = leaf_node.inst.principal
-            e0 = leaf_node.sequent.ante[i0]
-            ax_seq = Sequent(leaf_node.sequent.ante, (Eq(e0.lhs, e0.lhs),))
-            ax = node(ax_seq, leaf(RuleId.REFAX, 0))
-            fix = node(leaf_node.sequent, repl_inst(RuleId.REP1R, i0, 0, [(1,)]), ax)
-            d = _splice_spine(nodes[: k + 1] + above[:-1], fix)
-            continue
-        # leaf is a reflexivity axiom; rebuild the branch with the new lhs
-        jrep = jnode.inst.replacement
-        jrule = jnode.inst.rule
-        out_eq = jnode.sequent.succ[0]
-        new_lhs = out_eq.lhs
-        kappa = tuple(p[1:] for p in jrep.paths)
-        ax = node(Sequent(jnode.sequent.ante, (Eq(new_lhs, new_lhs),)), leaf(RuleId.REFAX, 0))
-        opposite = RuleId.REP2R if jrule is RuleId.REP1R else RuleId.REP1R
-        first_concl = Sequent(jnode.sequent.ante, (Eq(new_lhs, above[-1].sequent.succ[0].lhs),))
-        cur = node(first_concl, repl_inst(opposite, jrep.eq_index, 0, tuple((1,) + p for p in kappa)), ax)
-        # replay the desired inferences (leafward-to-rootward order reversed)
-        for nd in reversed(above[:-1]):
-            ndrep = nd.inst.replacement
-            old_rhs = nd.sequent.succ[0].rhs
-            cur = node(
-                Sequent(nd.sequent.ante, (Eq(new_lhs, old_rhs),)),
-                repl_inst(nd.inst.rule, ndrep.eq_index, 0, ndrep.paths),
-                cur,
-            )
-        if cur.sequent != jnode.sequent:
-            raise TransformError("right normalization rebuilt the wrong sequent")
-        d = _splice_spine(nodes[:k], cur)
-        after_nodes = _spine(d)
-        after = sum(1 for nd in after_nodes if undesired(nd))
-        if after >= before:
-            raise MeasureError("undesired-inference count failed to decrease")
-
-
-def _splice_spine(prefix: list[Derivation], tail: Derivation) -> Derivation:
-    cur = tail
-    for nd in reversed(prefix):
-        cur = Derivation(nd.sequent, nd.inst, (cur,))
+    nodes = _spine(d)
+    inner, top = nodes[:-1], nodes[-1]
+    undesired = [any(p[0] == 0 for p in nd.inst.replacement.paths) for nd in inner]
+    if not any(undesired):
+        return d
+    ante, lhs = d.sequent.ante, d.sequent.succ[0].lhs
+    cur = node(Sequent(ante, (Eq(lhs, lhs),)), leaf(RuleId.REFAX, 0))
+    for nd, bad in zip(inner, undesired):
+        if bad:
+            jrep = nd.inst.replacement
+            opposite = RuleId.REP2R if nd.inst.rule is RuleId.REP1R else RuleId.REP1R
+            paths = tuple((1,) + p[1:] for p in jrep.paths)
+            concl = Sequent(ante, (Eq(lhs, nd.children[0].sequent.succ[0].lhs),))
+            cur = node(concl, repl_inst(opposite, jrep.eq_index, 0, paths), cur)
+    if top.inst.rule is RuleId.INIT:
+        cur = node(
+            Sequent(ante, (Eq(lhs, top.sequent.succ[0].rhs),)),
+            repl_inst(RuleId.REP1R, top.inst.principal[0], 0, [(1,)]),
+            cur,
+        )
+    for nd, bad in zip(reversed(inner), reversed(undesired)):
+        if not bad:
+            cur = node(Sequent(ante, (Eq(lhs, nd.sequent.succ[0].rhs),)), nd.inst, cur)
+    if cur.sequent != d.sequent:
+        raise TransformError("right normalization rebuilt the wrong sequent")
     return cur
 
 

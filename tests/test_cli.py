@@ -156,12 +156,23 @@ def test_uncaught_exception_exits_2_with_one_line(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: RuntimeError: boom second line\n")
 
 
-def test_prove_deep_term(capsys):
-    # height 300: interned terms compare and print without recursing
-    deep = "f(" * 300 + "a" + ")" * 300
-    code, out, err = invoke(capsys, "prove", f"{deep} = b |- b = {deep}", "--preset", "R12r")
+@pytest.mark.parametrize("height", [300, 10_000])
+def test_prove_deep_term(height, tmp_path, capsys):
+    # every term walk is a loop: parse, prove, print, check and transform
+    # a term far past the recursion limit
+    deep = "f(" * height + "a" + ")" * height
+    drv = tmp_path / "deep.drv"
+    code, out, err = invoke(capsys, "prove", f"{deep} = b |- b = {deep}", "--preset", "R12r", "-o", str(drv))
     assert (code, err) == (0, "")
     assert "result: proved" in out and "height: 1" in out
+    if height < 10_000:
+        return
+    code, out, err = invoke(capsys, "check", str(drv), "--preset", "R12r")
+    assert (code, err) == (0, "")
+    assert "result: valid" in out
+    code, out, err = invoke(capsys, "transform", str(drv), "right-normalize")
+    assert (code, err) == (0, "")
+    assert "result: transformed" in out
 
 
 def test_check_deep_derivation_file(tmp_path, capsys):
@@ -179,6 +190,10 @@ def test_transform_deep_derivation_file(tmp_path, capsys):
     drv.write_text(print_derivation(valid_spine(3_000)))
     eq_drv = tmp_path / "deep_eq.drv"
     eq_drv.write_text(print_derivation(eq_spine([1 if k % 1000 else 0 for k in range(2_999)])))
+    # an lhs rewrite at every 7th node: 428 undesired inferences, which
+    # right-normalize removes in one pass
+    eq7_drv = tmp_path / "deep_eq7.drv"
+    eq7_drv.write_text(print_derivation(eq_spine([0 if k % 7 == 6 else 1 for k in range(2_999)])))
     extra = {
         "single-occurrence": ["--preset", "R12rl"],
         "project": ["--preset", "R12rl"],
@@ -187,9 +202,9 @@ def test_transform_deep_derivation_file(tmp_path, capsys):
     for op in sorted(_TRANSFORMS):
         if op == "cut-eliminate":
             continue
-        path = eq_drv if op == "right-normalize" else drv
-        code, _, err = invoke(capsys, "transform", str(path), op, *extra.get(op, []))
-        assert code in (0, 1) and err == "", (op, code, err)
+        for path in (eq_drv, eq7_drv) if op == "right-normalize" else (drv,):
+            code, _, err = invoke(capsys, "transform", str(path), op, *extra.get(op, []))
+            assert code in (0, 1) and err == "", (op, path.name, code, err)
 
 
 def test_unknown_precedence_exits_2(tmp_path, capsys):

@@ -49,6 +49,15 @@ def test_binder_renamed_apart_from_parameters():
     assert got.right == Atom("Q", (Param("a"),))
 
 
+def test_renamed_binder_captures_no_variable():
+    # the fresh name skips a name bound inside the body; disjoint scopes may
+    # reuse one
+    got = parse_formula("P(a) & forall a. forall a'. Q(a, a')")
+    assert print_formula(got) == "P(a) & (forall a''. forall a'. Q(a'', a'))"
+    got = parse_formula("P(a) & (forall a. Q(a)) & (forall a'. Q(a'))")
+    assert print_formula(got) == "P(a) & (forall a'. Q(a')) & (forall a'. Q(a'))"
+
+
 def test_sequent_examples():
     s = parse_sequent("a=c, b=c |- a=b")
     assert len(s.ante) == 2 and len(s.succ) == 1

@@ -180,6 +180,57 @@ def test_intern_table_releases_unreferenced_nodes():
     assert len(syntax._table) == before
 
 
+# recursive reference versions of the term walks, which loop over explicit stacks
+
+def _reference_subterms(t):
+    return {t}.union(*map(_reference_subterms, t.args)) if isinstance(t, FunApp) else {t}
+
+
+def _reference_occurrences(t, target, prefix=()):
+    here = [prefix] if t == target else []
+    for i, arg in enumerate(t.args if isinstance(t, FunApp) else ()):
+        here += _reference_occurrences(arg, target, prefix + (i,))
+    return here
+
+
+def _reference_replace_in_term(t, rel, to):
+    if not rel:
+        return to
+    args = list(t.args)
+    args[rel[0]] = _reference_replace_in_term(args[rel[0]], rel[1:], to)
+    return FunApp(t.sym, tuple(args))
+
+
+def _reference_replace_leaf(t, old, new):
+    if isinstance(t, FunApp):
+        return FunApp(t.sym, tuple(_reference_replace_leaf(x, old, new) for x in t.args))
+    return new if t == old else t
+
+
+_leaves = st.sampled_from([Param("a"), Param("b"), BoundVar("x")])
+tall_terms = st.deferred(
+    lambda: st.one_of(
+        _leaves,
+        st.builds(
+            lambda sym, args: FunApp(sym, tuple(args)), st.sampled_from(["f", "g"]), st.lists(tall_terms, max_size=3)
+        ),
+    )
+).filter(lambda t: term_height(t) <= 6)
+
+
+@given(tall_terms, tall_terms, _leaves, tall_terms)
+def test_term_walks_agree_with_recursive_references(t, s, leaf, to):
+    from eqseq.syntax import replace_in_term, replace_leaf, subterms
+
+    assert subterms(t) == _reference_subterms(t)
+    assert occurrences(Eq(t, s), t) == _reference_occurrences(t, t, (0,)) + _reference_occurrences(s, t, (1,))
+    for sub in _reference_subterms(s):
+        assert occurrences(Eq(t, s), sub) == _reference_occurrences(t, sub, (0,)) + _reference_occurrences(s, sub, (1,))
+    for path in _reference_occurrences(t, leaf):
+        assert replace_in_term(t, path, to) == _reference_replace_in_term(t, path, to)
+    assert replace_leaf(t, leaf, to) == _reference_replace_leaf(t, leaf, to)
+
+
 def test_identity_and_height():
     assert is_identity(Eq(f(a), f(a)))
     assert not is_identity(Eq(a, b))
@@ -198,14 +249,6 @@ def test_substitute_composes_through_fresh_parameter(g, t):
     abstracted = replace_at(g, {occ[0]}, Param("a"), BoundVar("x"))
     via_fresh = replace_leaf(substitute(abstracted, "x", Param("zfresh")), Param("zfresh"), t)
     assert via_fresh == substitute(abstracted, "x", t)
-
-
-def test_position_resolves_to_one_occurrence():
-    from eqseq.syntax import Position
-
-    s = Sequent((Eq(a, f(a)),), (Atom("P", (f(f(b)),)),))
-    assert Position("ante", 0, (1, 0)).resolve(s) == a
-    assert Position("succ", 0, (0, 0)).resolve(s) == f(b)
 
 
 def test_collectors_agree_on_every_connective():

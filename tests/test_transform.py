@@ -640,13 +640,35 @@ def test_transform_outputs_pinned(op):
     assert hashlib.sha256(text.encode()).hexdigest() == _PINNED[op]
 
 
-def test_no_transform_function_calls_itself():
-    # every walk goes through one explicit stack, transform._run
-    tree = ast.parse(pathlib.Path(tf.__file__).read_text(encoding="utf-8"))
+def _self_calls(path, names=None):
+    """The functions in ``path`` (those in ``names``, or all) that call
+    themselves by name or as ``self.name``."""
+    tree = ast.parse(pathlib.Path(path).read_text(encoding="utf-8"))
+    out = []
     for fn in ast.walk(tree):
-        if isinstance(fn, ast.FunctionDef):
-            called = {c.func.id for c in ast.walk(fn) if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
-            assert fn.name not in called, fn.name
+        if isinstance(fn, ast.FunctionDef) and (names is None or fn.name in names):
+            called = set()
+            for c in ast.walk(fn):
+                if not isinstance(c, ast.Call):
+                    continue
+                if isinstance(c.func, ast.Name):
+                    called.add(c.func.id)
+                elif isinstance(c.func, ast.Attribute) and getattr(c.func.value, "id", None) == "self":
+                    called.add(c.func.attr)
+            if fn.name in called:
+                out.append(fn.name)
+    return out
+
+
+def test_no_transform_function_calls_itself():
+    # every walk goes through one explicit stack, transform._run; the term
+    # walks loop over explicit stacks too
+    import eqseq.parser
+    import eqseq.syntax
+
+    assert _self_calls(tf.__file__) == []
+    assert _self_calls(eqseq.syntax.__file__, {"subterms", "occurrences", "replace_in_term"}) == []
+    assert _self_calls(eqseq.parser.__file__, {"term"}) == []
 
 
 def test_tall_spines_transform_without_recursion():
