@@ -16,7 +16,7 @@ replaces occurrences of the left side by the right side.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property
 
@@ -34,8 +34,10 @@ from .syntax import (
     Param,
     Path,
     PathError,
+    Record,
     Sequent,
     Term,
+    _set,
     _top_terms,
     atomic_parts,
     is_atomic,
@@ -166,19 +168,23 @@ class Flag(str, Enum):
 FLAG_BY_NAME = {f.value: f for f in Flag}
 
 
-@dataclass(frozen=True)
-class Precedence:
+class Precedence(Record):
     """Antisymmetric term relation used by the orientation flag."""
 
-    kind: str = "none"  # "none" | "height" | "explicit"
-    pairs: frozenset[tuple[Term, Term]] = frozenset()
+    _fields = ("kind", "pairs")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("none", "height", "explicit"):
-            raise CalculusError(f"unknown precedence kind {self.kind!r}")
-        for (a, b) in self.pairs:
-            if a == b or (b, a) in self.pairs:
+    def __init__(
+        self,
+        kind: str = "none",  # "none" | "height" | "explicit"
+        pairs: frozenset[tuple[Term, Term]] = frozenset(),
+    ) -> None:
+        if kind not in ("none", "height", "explicit"):
+            raise CalculusError(f"unknown precedence kind {kind!r}")
+        for (a, b) in pairs:
+            if a == b or (b, a) in pairs:
                 raise CalculusError(f"precedence is not antisymmetric at {a} / {b}")
+        _set(self, "kind", kind)
+        _set(self, "pairs", pairs)
 
     def lt(self, r: Term, s: Term) -> bool:
         if self.kind == "none":
@@ -192,32 +198,38 @@ PREC_NONE = Precedence("none")
 PREC_HEIGHT = Precedence("height")
 
 
-@dataclass(frozen=True)
-class CalculusSpec:
-    base: str = "none"  # "none" | "m" | "i" | "c"
-    rules: frozenset[RuleId] = frozenset()
-    flags: frozenset[Flag] = frozenset()
-    precedence: Precedence = PREC_NONE
+class CalculusSpec(Record):
+    _fields = ("base", "rules", "flags", "precedence")
 
-    def __post_init__(self) -> None:
-        if self.base not in ("none", "m", "i", "c"):
-            raise CalculusError(f"unknown base {self.base!r}")
-        if self.base == "none":
-            bad = self.rules & LOGICAL_RULES
+    def __init__(
+        self,
+        base: str = "none",  # "none" | "m" | "i" | "c"
+        rules: frozenset[RuleId] = frozenset(),
+        flags: frozenset[Flag] = frozenset(),
+        precedence: Precedence = PREC_NONE,
+    ) -> None:
+        if base not in ("none", "m", "i", "c"):
+            raise CalculusError(f"unknown base {base!r}")
+        if base == "none":
+            bad = rules & LOGICAL_RULES
             if bad:
                 raise CalculusError(
                     f"base=none permits no logical rules, got {sorted(r.value for r in bad)}"
                 )
-        elif self.base == "c":
-            bad = self.rules & (G3IM_LOGICAL - G3C_LOGICAL)
+        elif base == "c":
+            bad = rules & (G3IM_LOGICAL - G3C_LOGICAL)
             if bad:
                 raise CalculusError(f"classical base excludes {sorted(r.value for r in bad)}")
         else:
-            bad = self.rules & (G3C_LOGICAL - G3IM_LOGICAL)
+            bad = rules & (G3C_LOGICAL - G3IM_LOGICAL)
             if bad:
-                raise CalculusError(f"base={self.base} excludes {sorted(r.value for r in bad)}")
-        if Flag.ORIENTED in self.flags and self.precedence.kind == "none":
+                raise CalculusError(f"base={base} excludes {sorted(r.value for r in bad)}")
+        if Flag.ORIENTED in flags and precedence.kind == "none":
             raise CalculusError("Oriented flag requires a precedence")
+        _set(self, "base", base)
+        _set(self, "rules", rules)
+        _set(self, "flags", flags)
+        _set(self, "precedence", precedence)
 
     def effective_rules(self) -> frozenset[RuleId]:
         if self.base == "c":
@@ -260,33 +272,42 @@ class CalculusSpec:
         return f"base={self.base} rules={rules or '-'} flags={flags or '-'} prec={prec}"
 
 
-@dataclass(frozen=True)
-class Replacement:
+class Replacement(namedtuple("Replacement", "eq_index context_index paths")):
     """Witness data for one replacement inference.
 
     ``eq_index`` locates the operating equality in the conclusion antecedent
     (absent for CNG, whose operating equality lives in its first premiss);
     ``context_index`` locates the context formula on the rule's side of the
-    conclusion; ``paths`` are the positions of the conclusion-side term.
+    conclusion; ``paths`` are the positions of the conclusion-side term, kept
+    sorted and without repeats.
     """
 
+    __slots__ = ()
     eq_index: int | None
     context_index: int
     paths: tuple[Path, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "paths", tuple(sorted(set(self.paths))))
+    def __new__(cls, eq_index: int | None, context_index: int, paths) -> "Replacement":
+        return tuple.__new__(cls, (eq_index, context_index, tuple(sorted(set(paths)))))
+
+    @classmethod
+    def _make(cls, iterable) -> "Replacement":
+        # ``_replace`` builds through here: normalise its paths too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class RuleInstance:
+class RuleInstance(namedtuple(
+    "RuleInstance", "rule principal replacement witness eigen cut_formula split",
+    defaults=((), None, None, None, None, None),
+)):
+    __slots__ = ()
     rule: RuleId
-    principal: tuple[int, ...] = ()
-    replacement: Replacement | None = None
-    witness: Term | None = None
-    eigen: str | None = None
-    cut_formula: Formula | None = None
-    split: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    principal: tuple[int, ...]
+    replacement: Replacement | None
+    witness: Term | None
+    eigen: str | None
+    cut_formula: Formula | None
+    split: tuple[tuple[int, ...], tuple[int, ...]] | None
 
 
 def leaf(rule: RuleId, *principal: int) -> RuleInstance:
@@ -313,8 +334,7 @@ _FIELD_ATTR = {
 }
 
 
-@dataclass(frozen=True)
-class RuleSig:
+class RuleSig(Record):
     """What the instances of one rule carry, and its replacement facts.
 
     ``principal`` has one letter per principal index, the side it points
@@ -334,11 +354,21 @@ class RuleSig:
     (``plus``).
     """
 
-    principal: str = ""
-    fields: tuple[str, ...] = ()
-    index: int | None = None
-    retention: str | None = None
-    context_side: str | None = None
+    _fields = ("principal", "fields", "index", "retention", "context_side")
+
+    def __init__(
+        self,
+        principal: str = "",
+        fields: tuple[str, ...] = (),
+        index: int | None = None,
+        retention: str | None = None,
+        context_side: str | None = None,
+    ) -> None:
+        _set(self, "principal", principal)
+        _set(self, "fields", fields)
+        _set(self, "index", index)
+        _set(self, "retention", retention)
+        _set(self, "context_side", context_side)
 
     @cached_property
     def stray(self) -> tuple[str, ...]:

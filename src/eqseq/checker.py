@@ -1,21 +1,22 @@
 """Kernel: verify derivations against a calculus and report statistics."""
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from functools import cached_property
 
 from .calculus import CalculusError, CalculusSpec, RuleId, RuleInstance, premisses_of
-from .syntax import Sequent
+from .syntax import Record, Sequent, _set
 
 
-@dataclass(frozen=True, eq=False)
-class Derivation:
+class Derivation(Record):
     """A finite tree of sequents, each labeled by one explicit rule instance."""
 
-    sequent: Sequent
-    inst: RuleInstance
-    children: tuple["Derivation", ...] = ()
+    _fields = ("sequent", "inst", "children")
+
+    def __init__(self, sequent: Sequent, inst: RuleInstance, children: tuple["Derivation", ...] = ()) -> None:
+        _set(self, "sequent", sequent)
+        _set(self, "inst", inst)
+        _set(self, "children", children)
 
     @cached_property
     def height(self) -> int:
@@ -65,8 +66,8 @@ class Derivation:
         return {n.inst.rule for n in self.nodes()}
 
 
-@dataclass(frozen=True)
-class CheckFailure:
+class CheckFailure(namedtuple("CheckFailure", "node_path message")):
+    __slots__ = ()
     node_path: tuple[int, ...]
     message: str
 
@@ -75,12 +76,20 @@ class CheckFailure:
         return f"at node {where}: {self.message}"
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    valid: bool
-    height: int
-    rule_counts: dict[RuleId, int] = field(default_factory=dict)
-    first_error: CheckFailure | None = None
+class CheckReport(Record):
+    _fields = ("valid", "height", "rule_counts", "first_error")
+
+    def __init__(
+        self,
+        valid: bool,
+        height: int,
+        rule_counts: dict[RuleId, int] | None = None,
+        first_error: CheckFailure | None = None,
+    ) -> None:
+        _set(self, "valid", valid)
+        _set(self, "height", height)
+        _set(self, "rule_counts", {} if rule_counts is None else rule_counts)
+        _set(self, "first_error", first_error)
 
     def lines(self) -> list[str]:
         out = [f"valid: {'yes' if self.valid else 'no'}", f"height: {self.height}"]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .syntax import (
     And,
@@ -44,8 +44,8 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(namedtuple("SourceSpan", "start end line column")):
+    __slots__ = ()
     start: int
     end: int
     line: int

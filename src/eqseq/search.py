@@ -9,8 +9,7 @@ chain decision procedure.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
-from dataclasses import dataclass
+from collections import Counter, deque, namedtuple
 
 from .calculus import (
     CalculusSpec,
@@ -35,8 +34,10 @@ from .syntax import (
     Formula,
     FunApp,
     Param,
+    Record,
     Sequent,
     Term,
+    _set,
     _top_terms,
     atomic_parts,
     formula_has_function_symbols,
@@ -72,36 +73,42 @@ class MalformedWitnessError(SearchError):
 # Limits, outcomes
 
 
-@dataclass(frozen=True)
-class SearchLimits:
-    max_depth: int = 6
-    term_height: int = 3
-    universe: frozenset[Term] | None = None
-    node_budget: int = 100_000
+class SearchLimits(Record):
+    _fields = ("max_depth", "term_height", "universe", "node_budget")
 
-    def __post_init__(self) -> None:
-        if self.max_depth <= 0 or self.term_height <= 0 or self.node_budget <= 0:
+    def __init__(
+        self,
+        max_depth: int = 6,
+        term_height: int = 3,
+        universe: frozenset[Term] | None = None,
+        node_budget: int = 100_000,
+    ) -> None:
+        if max_depth <= 0 or term_height <= 0 or node_budget <= 0:
             raise SearchError("all search bounds must be positive")
-        if self.universe is not None:
-            for t in _sorted_universe(self.universe):
-                if not subterms(t) <= self.universe:
+        if universe is not None:
+            for t in _sorted_universe(universe):
+                if not subterms(t) <= universe:
                     raise SearchError(f"universe is not closed under subterms at {t}")
+        _set(self, "max_depth", max_depth)
+        _set(self, "term_height", term_height)
+        _set(self, "universe", universe)
+        _set(self, "node_budget", node_budget)
 
 
-@dataclass(frozen=True)
-class Proved:
+class Proved(namedtuple("Proved", "derivation")):
+    __slots__ = ()
     derivation: Derivation
 
 
-@dataclass(frozen=True)
-class Exhausted:
+class Exhausted(namedtuple("Exhausted", "expansions memo_size budget_exceeded", defaults=(False,))):
+    __slots__ = ()
     expansions: int
     memo_size: int
-    budget_exceeded: bool = False
+    budget_exceeded: bool
 
 
-@dataclass(frozen=True)
-class DecidedUnderivable:
+class DecidedUnderivable(namedtuple("DecidedUnderivable", "reason")):
+    __slots__ = ()
     reason: str
 
 
@@ -127,6 +134,24 @@ def default_universe(goal: Sequent, height_bound: int) -> frozenset[Term]:
     return frozenset(_close_under(base, funcs.items(), height_bound))
 
 
+def _holds_reachable_terms(goal: Sequent, spec: CalculusSpec, universe) -> bool:
+    """Whether every sequent reached backward from ``goal`` in ``spec`` has
+    its terms in ``universe``, so that adding them to it adds nothing.
+
+    That holds when the universe holds the goal's terms, neither the goal
+    (under its binders too) nor the universe has a function symbol, and
+    ``spec`` has no eigenparameter rule: witnesses, cut formulas and cng
+    equalities are drawn from the universe and the sequent, and a replacement
+    puts one parameter of the sequent for another.
+    """
+    return (
+        not any(formula_has_function_symbols(f) for f in goal.all_formulas())
+        and all(t.height == 0 for t in universe)
+        and sequent_terms(goal) <= universe
+        and not any("eigen" in sig.fields for _, sig in spec._signatures)
+    )
+
+
 def _close_under(base: set[Term], funcs, height_bound: int) -> set[Term]:
     """``base``, grown in place by every application of the ``(symbol,
     arity)`` pairs ``funcs`` up to the given term height."""
@@ -146,12 +171,12 @@ def _close_under(base: set[Term], funcs, height_bound: int) -> set[Term]:
 # Shape-invariant hooks (registered closure predicates)
 
 
-@dataclass(frozen=True)
-class ShapeHook:
+class ShapeHook(namedtuple("ShapeHook", "name covered_rules matches")):
     """A set of sequents closed under backward rule application in the covered
     calculi and containing no axiom, hence consisting of underivable sequents:
     every instance whose conclusion is in the set has some premiss in it."""
 
+    __slots__ = ()
     name: str
     covered_rules: frozenset[RuleId]
     matches: "callable"
@@ -284,6 +309,7 @@ def bounded_search(
         if h.matches(goal):
             return DecidedUnderivable(h.name)
     universe = lim.universe if lim.universe is not None else default_universe(goal, lim.term_height)
+    closed = _holds_reachable_terms(goal, spec, universe)
     budget = _Budget(lim.node_budget)
     # memos by multiset: pooled sequents equal as multisets share a number
     proved: dict[int, Derivation] = {}
@@ -313,7 +339,8 @@ def bounded_search(
                 moves = leaf_expansions(seq, spec)
             else:
                 # eigenparameters introduced above the goal become usable witnesses
-                moves = move_table[id(seq)] = expansions(seq, spec, universe | sequent_terms(seq), pool)
+                terms = universe if closed else universe | sequent_terms(seq)
+                moves = move_table[id(seq)] = expansions(seq, spec, terms, pool)
         for inst, premisses in moves:
             if premisses and depth <= 0:
                 break  # the leaf instances come first
@@ -490,8 +517,9 @@ def forward_pair_conclusions(p1: Sequent, p2: Sequent, spec: CalculusSpec) -> li
 # Saturation
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(namedtuple(
+    "Signature", "params funcs preds max_ante max_succ fixed_ante", defaults=((), (), 2, 1, None)
+)):
     """Finite pool description for forward saturation.
 
     With ``fixed_ante`` set, the pool is the family of sequents with exactly
@@ -500,12 +528,13 @@ class Signature:
     the pool is every sequent over the atom pool within the size caps.
     """
 
+    __slots__ = ()
     params: tuple[str, ...]
-    funcs: tuple[tuple[str, int], ...] = ()
-    preds: tuple[tuple[str, int], ...] = ()
-    max_ante: int = 2
-    max_succ: int = 1
-    fixed_ante: tuple[Formula, ...] | None = None
+    funcs: tuple[tuple[str, int], ...]
+    preds: tuple[tuple[str, int], ...]
+    max_ante: int
+    max_succ: int
+    fixed_ante: tuple[Formula, ...] | None
 
     @staticmethod
     def from_goal(goal: Sequent, fixed_ante: bool = False, max_ante: int = 2, max_succ: int = 1) -> "Signature":
@@ -542,12 +571,14 @@ class Signature:
         return pool
 
 
-@dataclass(frozen=True)
-class SaturationResult:
-    derived: frozenset[Sequent]
-    fixpoint: bool
-    expansions: int
-    pool_size: int
+class SaturationResult(Record):
+    _fields = ("derived", "fixpoint", "expansions", "pool_size")
+
+    def __init__(self, derived: frozenset[Sequent], fixpoint: bool, expansions: int, pool_size: int) -> None:
+        _set(self, "derived", derived)
+        _set(self, "fixpoint", fixpoint)
+        _set(self, "expansions", expansions)
+        _set(self, "pool_size", pool_size)
 
     def __contains__(self, seq: Sequent) -> bool:
         return seq in self.derived
@@ -616,8 +647,8 @@ def saturate_forward(sig: Signature, spec: CalculusSpec, lim: SearchLimits) -> S
 # ---------------------------------------------------------------------------
 # Exact decision by finite-state exploration
 
-@dataclass(frozen=True)
-class ExactResult:
+class ExactResult(namedtuple("ExactResult", "decided derivable states")):
+    __slots__ = ()
     decided: bool
     derivable: bool
     states: int
@@ -631,6 +662,7 @@ def exact_decide(goal: Sequent, spec: CalculusSpec, lim: SearchLimits) -> ExactR
     is False when the budget was hit, in which case nothing is claimed.
     """
     universe = lim.universe if lim.universe is not None else default_universe(goal, lim.term_height)
+    closed = _holds_reachable_terms(goal, spec, universe)
     pool = MovePool()
     seen: dict[Sequent, list[list[Sequent]]] = {}
     frontier = deque([goal])
@@ -643,7 +675,8 @@ def exact_decide(goal: Sequent, spec: CalculusSpec, lim: SearchLimits) -> ExactR
         if states > lim.node_budget:
             return ExactResult(False, False, states)
         alts: list[list[Sequent]] = []
-        for _, premisses in expansions(seq, spec, universe | sequent_terms(seq), pool):
+        terms = universe if closed else universe | sequent_terms(seq)
+        for _, premisses in expansions(seq, spec, terms, pool):
             alts.append(premisses)
             for p in premisses:
                 if p not in seen:
@@ -668,25 +701,27 @@ def exact_decide(goal: Sequent, spec: CalculusSpec, lim: SearchLimits) -> ExactR
 # Function-free decision procedure (congruence chains)
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Record):
     """Equalities from the antecedent arrangeable as a path from ``start`` to
     ``end``; each link keeps its stored orientation (``True`` when traversed
     left to right)."""
 
-    start: Term
-    end: Term
-    links: tuple[tuple[Eq, bool], ...] = ()
+    _fields = ("start", "end", "links")
+
+    def __init__(self, start: Term, end: Term, links: tuple[tuple[Eq, bool], ...] = ()) -> None:
+        _set(self, "start", start)
+        _set(self, "end", end)
+        _set(self, "links", links)
 
     def __len__(self) -> int:
         return len(self.links)
 
 
-@dataclass(frozen=True)
-class WitnessPlan:
+class WitnessPlan(namedtuple("WitnessPlan", "goal witness_index chains")):
     """Output of the decision procedure for a derivable goal: the matching
     antecedent atom (absent for equality goals) and one chain per argument."""
 
+    __slots__ = ()
     goal: Sequent
     witness_index: int | None
     chains: tuple[Chain, ...]

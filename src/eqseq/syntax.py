@@ -10,11 +10,14 @@ object per structure, and ``==`` and ``hash`` are the object's own.  The
 table holds its nodes weakly, so a node nobody references is released.  The
 invariant holds per process: a pickled or copied node would be a second
 object for its structure, and nothing in the package pickles or copies one.
+
+The package's other values are :class:`Record` subclasses or named tuples,
+whose methods are written out, so importing the package generates no record
+class and loads no class-generating module.
 """
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
 from functools import cached_property
 
 
@@ -26,65 +29,165 @@ class SyntaxInvariantError(EqSeqError):
     """A term/formula operation was applied outside its precondition."""
 
 
+# ---------------------------------------------------------------------------
+# Values
+
+_set = object.__setattr__
+
+
+def _repr(x: object) -> str:
+    """``Name(field=value, ...)`` over the ``_fields`` of ``x``, walked with
+    an explicit stack: fielded values and plain tuples inside it are walked
+    as well, any other value is printed by its own ``repr``."""
+    out: list[str] = []
+    stack: list = [x]
+    while stack:
+        v = stack.pop()
+        if type(v) is str:
+            out.append(v)
+            continue
+        if type(v) is tuple:
+            out.append("(")
+            items = [("", a) for a in v]
+            stack.append(",)" if len(v) == 1 else ")")
+        else:
+            out.append(type(v).__name__ + "(")
+            items = [(f + "=", getattr(v, f)) for f in v._fields]
+            stack.append(")")
+        # pushed in reverse: the items pop first to last
+        for k in range(len(items) - 1, -1, -1):
+            label, a = items[k]
+            stack.append(a if type(a) is tuple or hasattr(type(a), "_fields") else repr(a))
+            stack.append(", " + label if k else label)
+    return "".join(out)
+
+
+class _Frozen:
+    """Fields named in ``_fields``, set once when the value is built (with
+    ``object.__setattr__``) and never assigned or deleted afterwards;
+    ``repr`` prints ``Name(field=value, ...)``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    __repr__ = _repr
+
+
+class Record(_Frozen):
+    """Base of the immutable values that are neither nodes nor named tuples.
+
+    A subclass sets its fields in its ``__init__``.  Two values are equal when
+    they have one class and equal fields, and the hash is that of the field
+    tuple.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class _Entry(weakref.ref):
+    """The intern table's weak reference to a live node; it knows the node's key."""
+
+    __slots__ = ("key",)
+
+
 # the live term and formula nodes, keyed by their class and fields
-_table: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_table: dict[tuple, _Entry] = {}
+
+
+def _forget(entry: _Entry, table: dict[tuple, _Entry] = _table) -> None:
+    """Drop the entry of a released node, unless a new node took its key.
+    The table is bound as a default, so this holds while the interpreter
+    shuts down too."""
+    if table.get(entry.key) is entry:
+        del table[entry.key]
 
 
 class _Interned(type):
     """Metaclass of the term and formula nodes: a constructor call returns the
-    live node with the same class and fields when there is one."""
+    live node with the same class and fields when there is one, and builds
+    one from the fields the class names in ``_fields`` otherwise."""
 
     def __call__(cls, *fields):
         key = (cls, *fields)
-        node = _table.get(key)
+        entry = _table.get(key)
+        node = None if entry is None else entry()
         if node is None:
-            node = _table[key] = super().__call__(*fields)
+            names = cls._fields
+            if len(fields) != len(names):
+                raise TypeError(f"{cls.__name__} takes {len(names)} fields, got {len(fields)}")
+            node = object.__new__(cls)
+            for i in range(len(names)):
+                _set(node, names[i], fields[i])
+            if cls is FunApp:
+                height, has_bound = 0, False
+                for a in fields[1]:
+                    if a.height > height:
+                        height = a.height
+                    if a.has_bound:
+                        has_bound = True
+                _set(node, "height", height + 1)
+                _set(node, "has_bound", has_bound)
+            entry = _table[key] = _Entry(node, _forget)
+            entry.key = key
         return node
+
+
+class _Node(_Frozen, metaclass=_Interned):
+    """Base of the term and formula nodes, whose fields live in slots."""
+
+    __slots__ = ("__weakref__",)
 
 
 # ---------------------------------------------------------------------------
 # Terms
 
 
-@dataclass(frozen=True, eq=False)
-class Term(metaclass=_Interned):
+class Term(_Node):
+    __slots__ = ()
     height = 0
     has_bound = False
 
 
-@dataclass(frozen=True, eq=False)
 class Param(Term):
     """A constant or free variable (the calculi never distinguish them)."""
 
-    name: str
+    __slots__ = _fields = ("name",)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, eq=False)
 class BoundVar(Term):
-    name: str
+    __slots__ = _fields = ("name",)
     has_bound = True
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, eq=False)
 class FunApp(Term):
-    sym: str
-    args: tuple[Term, ...]
-    height: int = field(init=False, repr=False)
-    has_bound: bool = field(init=False, repr=False)
+    """``sym(args)``; ``height`` and ``has_bound`` are set from the arguments
+    when the node is built (see ``_Interned``)."""
 
-    def __post_init__(self) -> None:
-        height, has_bound = 0, False
-        for a in self.args:
-            height = max(height, a.height)
-            has_bound = has_bound or a.has_bound
-        object.__setattr__(self, "height", height + 1)
-        object.__setattr__(self, "has_bound", has_bound)
+    __slots__ = ("sym", "args", "height", "has_bound")
+    _fields = ("sym", "args")
 
     def __str__(self) -> str:
         out: list[str] = []
@@ -129,15 +232,12 @@ def subterms(t: Term) -> set[Term]:
 # Formulas
 
 
-@dataclass(frozen=True, eq=False)
-class Formula(metaclass=_Interned):
-    pass
+class Formula(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
 class Atom(Formula):
-    pred: str
-    args: tuple[Term, ...]
+    __slots__ = _fields = ("pred", "args")
 
     def __str__(self) -> str:
         if not self.args:
@@ -145,17 +245,16 @@ class Atom(Formula):
         return f"{self.pred}({', '.join(str(a) for a in self.args)})"
 
 
-@dataclass(frozen=True, eq=False)
 class Eq(Formula):
-    lhs: Term
-    rhs: Term
+    __slots__ = _fields = ("lhs", "rhs")
 
     def __str__(self) -> str:
         return f"{self.lhs} = {self.rhs}"
 
 
-@dataclass(frozen=True, eq=False)
 class Bottom(Formula):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "bot"
 
@@ -163,34 +262,24 @@ class Bottom(Formula):
 BOT = Bottom()
 
 
-@dataclass(frozen=True, eq=False)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True, eq=False)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True, eq=False)
 class Imp(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True, eq=False)
 class Forall(Formula):
-    var: str
-    body: Formula
+    __slots__ = _fields = ("var", "body")
 
 
-@dataclass(frozen=True, eq=False)
 class Exists(Formula):
-    var: str
-    body: Formula
+    __slots__ = _fields = ("var", "body")
 
 
 def is_atomic(f: Formula) -> bool:
@@ -400,12 +489,14 @@ def _multiset_key(fs: tuple[Formula, ...]) -> tuple[Formula, ...]:
     return tuple(sorted(fs, key=id))
 
 
-@dataclass(frozen=True, eq=False)
-class Sequent:
+class Sequent(Record):
     """A pair of formula multisets; equality ignores order but not multiplicity."""
 
-    ante: tuple[Formula, ...]
-    succ: tuple[Formula, ...]
+    _fields = ("ante", "succ")
+
+    def __init__(self, ante: tuple[Formula, ...], succ: tuple[Formula, ...]) -> None:
+        _set(self, "ante", ante)
+        _set(self, "succ", succ)
 
     @cached_property
     def _key(self) -> tuple:

@@ -10,8 +10,8 @@ in a case table fails fast instead of looping.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Generator
-from dataclasses import dataclass, replace
 from functools import partial
 
 from .calculus import (
@@ -69,13 +69,14 @@ class MeasureError(TransformError):
     """An inductive rewrite failed to decrease its termination measure."""
 
 
-@dataclass(frozen=True)
-class TransformReport:
+class TransformReport(namedtuple("TransformReport", "output target input_height output_height steps",
+                                 defaults=((),))):
+    __slots__ = ()
     output: Derivation
     target: CalculusSpec
     input_height: int
     output_height: int
-    steps: tuple[str, ...] = ()
+    steps: tuple[str, ...]
 
     def lines(self) -> list[str]:
         return [
@@ -212,8 +213,7 @@ def _rename_param_deriv(d: Derivation, old: str, new: str) -> Derivation:
         return None if x is None else replace_leaf(x, Param(old), Param(new))
 
     def step(n: Derivation) -> Derivation:
-        inst = replace(
-            n.inst,
+        inst = n.inst._replace(
             witness=fix(n.inst.witness),
             eigen=new if n.inst.eigen == old else n.inst.eigen,
             cut_formula=fix(n.inst.cut_formula),
@@ -1383,8 +1383,8 @@ def _single_occurrences(d: Derivation, spec: CalculusSpec) -> Derivation:
 # copy of an operating equality into the antecedent.
 
 
-@dataclass(frozen=True)
-class _RightJob:
+class _RightJob(namedtuple("_RightJob", "idx ei j path")):
+    __slots__ = ()
     idx: int
     ei: int
     j: int
@@ -1635,4 +1635,5 @@ def semishorten_target(prec: Precedence) -> CalculusSpec:
     and the output lies in ``R2rlPlus``; an oriented spec needs a precedence."""
     if prec == PREC_NONE:
         return PRESETS["R2rlPlus"]
-    return replace(PRESETS["R12prec_rlPlus"], precedence=prec)
+    plus = PRESETS["R12prec_rlPlus"]
+    return CalculusSpec(plus.base, plus.rules, plus.flags, prec)

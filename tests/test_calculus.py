@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -288,15 +287,15 @@ def _stray_field_cases():
     a, b = Param("a"), Param("b")
     refl = RuleInstance(RuleId.REFL, (7,), witness=a)
     ident = node(seq("a = a |- a = a"), leaf(RuleId.INIT, 0, 0))
-    yield "RefRep", "|- a = a", refl, dataclasses.replace(refl, principal=()), [ident]
+    yield "RefRep", "|- a = a", refl, refl._replace(principal=()), [ident]
     rep2r = RuleInstance(RuleId.REP2R, (0,), replacement=Replacement(0, 0, ((1,),)))
     ax = node(seq("b = a |- a = a"), leaf(RuleId.REFAX, 0))
-    yield "R12r", "b = a |- a = b", rep2r, dataclasses.replace(rep2r, principal=()), [ax]
+    yield "R12r", "b = a |- a = b", rep2r, rep2r._replace(principal=()), [ax]
     cut = RuleInstance(RuleId.CUT, (0,), cut_formula=Eq(a, b), split=((0,), ()))
     init = node(seq("a = b |- a = b"), leaf(RuleId.INIT, 0, 0))
-    yield "EqCut", "a = b |- a = b", cut, dataclasses.replace(cut, principal=()), [init, init]
+    yield "EqCut", "a = b |- a = b", cut, cut._replace(principal=()), [init, init]
     witnessed = RuleInstance(RuleId.INIT, (0, 0), witness=a)
-    yield "R12r", "a = b |- a = b", witnessed, dataclasses.replace(witnessed, witness=None), []
+    yield "R12r", "a = b |- a = b", witnessed, witnessed._replace(witness=None), []
 
 
 @pytest.mark.parametrize(
@@ -308,6 +307,42 @@ def test_premisses_of_rejects_fields_the_rule_does_not_take(name, goal, stray, c
         premisses_of(goal, stray, spec)
     assert not check(node(goal, stray, *children), spec).valid
     assert check(node(goal, clean, *children), spec).valid
+
+
+G3C, G3I = CalculusSpec("c"), CalculusSpec("i")
+RW_RC = CalculusSpec("none", frozenset({RuleId.RW, RuleId.RC}))
+
+# (rule, spec, conclusion, accepted instance's principal and eigenparameter,
+#  its premisses in order, a principal index at a formula the rule cannot take)
+PREMISS_CASES = [
+    (RuleId.LOR, G3C, "R(a), P(a) | Q(a), S(a) |- Q(a)", (1,), None,
+     ["R(a), P(a), S(a) |- Q(a)", "R(a), Q(a), S(a) |- Q(a)"], (0,)),
+    (RuleId.ROR, G3C, "R(a) |- S(a), P(a) | Q(a), T(a)", (1,), None,
+     ["R(a) |- S(a), P(a), Q(a), T(a)"], (0,)),
+    (RuleId.LIMP, G3C, "R(a), P(a) -> Q(a), S(a) |- T(a)", (1,), None,
+     ["R(a), S(a) |- T(a), P(a)", "R(a), Q(a), S(a) |- T(a)"], (0,)),
+    (RuleId.LIMPI, G3I, "R(a), P(a) -> Q(a), S(a) |- T(a)", (1,), None,
+     ["R(a), P(a) -> Q(a), S(a) |- T(a), P(a)", "R(a), Q(a), S(a) |- T(a)"], (0,)),
+    (RuleId.RFORALLI, G3I, "R(a) |- S(a), forall x. P(x), T(a)", (1,), "b",
+     ["R(a) |- P(b)"], (0,)),
+    (RuleId.LEXISTS, G3C, "R(a), exists x. P(x), S(a) |- T(a)", (1,), "b",
+     ["R(a), P(b), S(a) |- T(a)"], (0,)),
+    (RuleId.RW, RW_RC, "R(a) |- S(a), T(a), U(a)", (1,), None,
+     ["R(a) |- S(a), U(a)"], (3,)),
+    (RuleId.RC, RW_RC, "R(a) |- S(a), T(a), U(a)", (1,), None,
+     ["R(a) |- S(a), T(a), T(a), U(a)"], (3,)),
+]
+
+
+@pytest.mark.parametrize(
+    "rule, spec, concl, principal, eigen, premisses, wrong", PREMISS_CASES, ids=[c[0].value for c in PREMISS_CASES]
+)
+def test_premisses_in_order(rule, spec, concl, principal, eigen, premisses, wrong):
+    got = premisses_of(seq(concl), RuleInstance(rule, principal, eigen=eigen), spec)
+    # compared as ordered formula lists: sequent equality ignores order
+    assert [(p.ante, p.succ) for p in got] == [(seq(p).ante, seq(p).succ) for p in premisses]
+    with pytest.raises(ShapeMismatchError):
+        premisses_of(seq(concl), RuleInstance(rule, wrong, eigen=eigen), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +434,7 @@ def _kernel_moves(goal, spec, universe):
         except CalculusError:
             continue
         if inst.split is not None:
-            key = (dataclasses.replace(inst, split=None), tuple(premisses))  # sequents hash as multisets
+            key = (inst._replace(split=None), tuple(premisses))  # sequents hash as multisets
             if key in seen:
                 dropped += 1
                 continue

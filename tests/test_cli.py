@@ -298,7 +298,8 @@ def test_spec_string_with_precedence_file(tmp_path, capsys):
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "chain_lemma_a_n1.drv"
 
 # runs one command in a fresh interpreter, then prints its exit code and the
-# lazily loaded modules whose bodies ran
+# lazily loaded modules whose bodies ran, and on a last line which of
+# ``dataclasses`` and ``inspect`` got loaded
 _RUN_AND_LIST_LOADED = """
 import sys
 from eqseq.cli import run
@@ -306,6 +307,7 @@ code = run(sys.argv[1:])
 probes = {"eqseq.search": "prove", "eqseq.transform": "cut_eliminate_pipeline"}
 ran = [m for m, name in probes.items() if name in object.__getattribute__(sys.modules[m], "__dict__")]
 print(code, *ran)
+print("loaded:", *[m for m in ("dataclasses", "inspect") if m in sys.modules])
 """
 
 
@@ -322,7 +324,9 @@ def test_commands_load_only_the_modules_they_run(argv, ran):
         [sys.executable, "-c", _RUN_AND_LIST_LOADED, *argv], capture_output=True, text=True, env=_cli_env()
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1].split() == ["0", *ran]
+    *_, status, loaded = proc.stdout.splitlines()
+    assert status.split() == ["0", *ran]
+    assert loaded == "loaded:"
 
 
 def test_every_public_name_resolves():

@@ -4,14 +4,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eqseq.syntax import (
+    BOT,
+    And,
     Atom,
+    Bottom,
     BoundVar,
     Eq,
+    Exists,
     Forall,
+    Formula,
     FunApp,
+    Imp,
+    Or,
     Param,
     PathError,
     Sequent,
+    Term,
     is_identity,
     occurrences,
     replace_at,
@@ -51,7 +59,7 @@ def test_substitute_rejects_bound_variables_in_replacement():
 
 
 def test_replace_leaf_on_terms_and_formulas():
-    from eqseq.syntax import BOT, Exists, Formula, Imp, SyntaxInvariantError, replace_leaf
+    from eqseq.syntax import SyntaxInvariantError, replace_leaf
 
     x = BoundVar("x")
     assert replace_leaf(f(a, x), a, b) == f(b, x)
@@ -131,7 +139,6 @@ def test_sequent_multiset_semantics():
 
 def test_equal_structures_are_one_object():
     from eqseq.parser import parse_formula, parse_term
-    from eqseq.syntax import BOT, And, Bottom, Exists, Formula, Imp, Or, Term
 
     g = FunApp("g", (b,))
     assert parse_term("f(a, g(b))") is FunApp("f", (Param("a"), g))
@@ -256,7 +263,7 @@ def test_collectors_agree_on_every_connective():
     # under a binder, so its term is not closed
     from eqseq.calculus import _goal_predicates
     from eqseq.search import sequent_terms
-    from eqseq.syntax import BOT, And, Exists, Imp, Or, formula_has_function_symbols, formula_params
+    from eqseq.syntax import formula_has_function_symbols, formula_params
 
     x, y = BoundVar("x"), BoundVar("y")
     d, e = Param("d"), Param("e")
@@ -269,3 +276,154 @@ def test_collectors_agree_on_every_connective():
     assert not formula_has_function_symbols(Imp(Atom("P", (a,)), Eq(b, c)))
     assert sequent_terms(Sequent((g,), (Eq(a, a),))) == {a, b, c, d, e}
     assert _goal_predicates(Sequent((g,), ())) == {("P", 1), ("Q", 1), ("R", 3)}
+
+
+# ---------------------------------------------------------------------------
+# Values: repr, hash and immutability
+
+_NODE_FIELDS = {
+    Param: ("name",), BoundVar: ("name",), FunApp: ("sym", "args"), Atom: ("pred", "args"), Eq: ("lhs", "rhs"),
+    Bottom: (), And: ("left", "right"), Or: ("left", "right"), Imp: ("left", "right"),
+    Forall: ("var", "body"), Exists: ("var", "body"),
+}
+
+
+def _reference_repr(x):
+    """The frozen-dataclass ``repr`` of a node, written recursively."""
+    if type(x) is tuple:
+        inner = ", ".join(map(_reference_repr, x))
+        return f"({inner},)" if len(x) == 1 else f"({inner})"
+    if type(x) in _NODE_FIELDS:
+        fields = ", ".join(f"{name}={_reference_repr(getattr(x, name))}" for name in _NODE_FIELDS[type(x)])
+        return f"{type(x).__name__}({fields})"
+    return repr(x)
+
+
+formulas = st.recursive(
+    st.one_of(
+        st.just(BOT),
+        st.builds(Eq, tall_terms, tall_terms),
+        st.builds(lambda ts: Atom("P", tuple(ts)), st.lists(tall_terms, max_size=2)),
+    ),
+    lambda sub: st.one_of(
+        st.builds(lambda cls, l, r: cls(l, r), st.sampled_from([And, Or, Imp]), sub, sub),
+        st.builds(lambda cls, body: cls("x", body), st.sampled_from([Forall, Exists]), sub),
+    ),
+    max_leaves=6,
+)
+
+
+@given(st.one_of(tall_terms, formulas))
+def test_repr_agrees_with_recursive_reference(x):
+    assert repr(x) == _reference_repr(x)
+
+
+def test_repr_of_a_deep_term():
+    t = a
+    for _ in range(10_000):
+        t = f(t)
+    assert repr(t) == "FunApp(sym='f', args=(" * 10_000 + "Param(name='a')" + ",))" * 10_000
+
+
+# one value per class, printed as frozen dataclasses printed them
+FIXED_REPRS = {
+    'Param': "Param(name='a')",
+    'BoundVar': "BoundVar(name='x')",
+    'FunApp': "FunApp(sym='g', args=(FunApp(sym='f', args=(Param(name='a'),)), BoundVar(name='x')))",
+    'Atom': "Atom(pred='P', args=(Param(name='a'),))",
+    'Eq': "Eq(lhs=Param(name='a'), rhs=FunApp(sym='f', args=(Param(name='a'),)))",
+    'Bottom': 'Bottom()',
+    'And': "And(left=Eq(lhs=Param(name='a'), rhs=FunApp(sym='f', args=(Param(name='a'),))), right=Bottom())",
+    'Or': "Or(left=Bottom(), right=Eq(lhs=Param(name='a'), rhs=FunApp(sym='f', args=(Param(name='a'),))))",
+    'Imp': "Imp(left=Eq(lhs=Param(name='a'), rhs=FunApp(sym='f', args=(Param(name='a'),))), right=Eq(lhs=Param(name='a'), rhs=FunApp(sym='f', args=(Param(name='a'),))))",
+    'Forall': "Forall(var='x', body=Atom(pred='P', args=(BoundVar(name='x'),)))",
+    'Exists': "Exists(var='x', body=Eq(lhs=BoundVar(name='x'), rhs=Param(name='a')))",
+    'Sequent': "Sequent(ante=(Eq(lhs=Param(name='a'), rhs=FunApp(sym='f', args=(Param(name='a'),))), Atom(pred='P', args=())), succ=(Atom(pred='Q', args=(Param(name='a'), Param(name='b'))),))",
+    'Precedence': "Precedence(kind='explicit', pairs=frozenset({(Param(name='a'), Param(name='b'))}))",
+    'CalculusSpec': "CalculusSpec(base='none', rules=frozenset({<RuleId.REFAX: 'refax'>}), flags=frozenset(), precedence=Precedence(kind='none', pairs=frozenset()))",
+    'Replacement': 'Replacement(eq_index=None, context_index=1, paths=((0,), (1, 0)))',
+    'RuleInstance': "RuleInstance(rule=<RuleId.CUT: 'cut'>, principal=(), replacement=None, witness=None, eigen=None, cut_formula=Eq(lhs=Param(name='a'), rhs=FunApp(sym='f', args=(Param(name='a'),))), split=((0,), ()))",
+    'RuleSig': "RuleSig(principal='', fields=('eq_index', 'context_index', 'paths'), index=1, retention='plus', context_side='a')",
+    'Derivation': "Derivation(sequent=Sequent(ante=(Eq(lhs=Param(name='a'), rhs=FunApp(sym='f', args=(Param(name='a'),))), Atom(pred='P', args=())), succ=(Atom(pred='Q', args=(Param(name='a'), Param(name='b'))),)), inst=RuleInstance(rule=<RuleId.REP2R: 'rep2r'>, principal=(), replacement=Replacement(eq_index=0, context_index=0, paths=((0,), (1,))), witness=None, eigen=None, cut_formula=None, split=None), children=(Derivation(sequent=Sequent(ante=(Eq(lhs=Param(name='a'), rhs=FunApp(sym='f', args=(Param(name='a'),))), Atom(pred='P', args=())), succ=(Atom(pred='Q', args=(Param(name='a'), Param(name='b'))),)), inst=RuleInstance(rule=<RuleId.INIT: 'init'>, principal=(1, 0), replacement=None, witness=None, eigen=None, cut_formula=None, split=None), children=()),))",
+    'CheckFailure': "CheckFailure(node_path=(0, 1), message='bad')",
+    'CheckReport': "CheckReport(valid=False, height=1, rule_counts={<RuleId.INIT: 'init'>: 2}, first_error=CheckFailure(node_path=(), message='bad'))",
+    'SourceSpan': 'SourceSpan(start=0, end=3, line=1, column=1)',
+    'SearchLimits': "SearchLimits(max_depth=6, term_height=3, universe=frozenset({Param(name='a')}), node_budget=100000)",
+    'Proved': "Proved(derivation=Derivation(sequent=Sequent(ante=(Eq(lhs=Param(name='a'), rhs=FunApp(sym='f', args=(Param(name='a'),))), Atom(pred='P', args=())), succ=(Atom(pred='Q', args=(Param(name='a'), Param(name='b'))),)), inst=RuleInstance(rule=<RuleId.INIT: 'init'>, principal=(1, 0), replacement=None, witness=None, eigen=None, cut_formula=None, split=None), children=()))",
+    'Exhausted': 'Exhausted(expansions=3, memo_size=4, budget_exceeded=False)',
+    'DecidedUnderivable': "DecidedUnderivable(reason='countermodel')",
+    'ShapeHook': "ShapeHook(name='h', covered_rules=frozenset({<RuleId.LW: 'lw'>}), matches=<built-in function len>)",
+    'Signature': "Signature(params=('a',), funcs=(), preds=(), max_ante=2, max_succ=1, fixed_ante=(Eq(lhs=Param(name='a'), rhs=FunApp(sym='f', args=(Param(name='a'),))),))",
+    'SaturationResult': "SaturationResult(derived=frozenset({Sequent(ante=(Eq(lhs=Param(name='a'), rhs=FunApp(sym='f', args=(Param(name='a'),))), Atom(pred='P', args=())), succ=(Atom(pred='Q', args=(Param(name='a'), Param(name='b'))),))}), fixpoint=True, expansions=2, pool_size=5)",
+    'ExactResult': 'ExactResult(decided=True, derivable=False, states=7)',
+    'Chain': "Chain(start=Param(name='a'), end=Param(name='b'), links=((Eq(lhs=Param(name='a'), rhs=Param(name='b')), True),))",
+    'WitnessPlan': "WitnessPlan(goal=Sequent(ante=(Eq(lhs=Param(name='a'), rhs=FunApp(sym='f', args=(Param(name='a'),))), Atom(pred='P', args=())), succ=(Atom(pred='Q', args=(Param(name='a'), Param(name='b'))),)), witness_index=None, chains=(Chain(start=Param(name='a'), end=Param(name='a'), links=()),))",
+    'TransformReport': "TransformReport(output=Derivation(sequent=Sequent(ante=(Eq(lhs=Param(name='a'), rhs=FunApp(sym='f', args=(Param(name='a'),))), Atom(pred='P', args=())), succ=(Atom(pred='Q', args=(Param(name='a'), Param(name='b'))),)), inst=RuleInstance(rule=<RuleId.REP2R: 'rep2r'>, principal=(), replacement=Replacement(eq_index=0, context_index=0, paths=((0,), (1,))), witness=None, eigen=None, cut_formula=None, split=None), children=(Derivation(sequent=Sequent(ante=(Eq(lhs=Param(name='a'), rhs=FunApp(sym='f', args=(Param(name='a'),))), Atom(pred='P', args=())), succ=(Atom(pred='Q', args=(Param(name='a'), Param(name='b'))),)), inst=RuleInstance(rule=<RuleId.INIT: 'init'>, principal=(1, 0), replacement=None, witness=None, eigen=None, cut_formula=None, split=None), children=()),)), target=CalculusSpec(base='none', rules=frozenset({<RuleId.REFAX: 'refax'>}), flags=frozenset(), precedence=Precedence(kind='none', pairs=frozenset())), input_height=1, output_height=1, steps=())",
+    '_RightJob': '_RightJob(idx=1, ei=0, j=0, path=(1,))',
+}
+
+
+def _fixed_values():
+    from eqseq.calculus import CalculusSpec, Precedence, RULES, Replacement, RuleId, RuleInstance
+    from eqseq.checker import CheckFailure, CheckReport, Derivation
+    from eqseq.parser import SourceSpan
+    from eqseq.search import (
+        Chain, DecidedUnderivable, ExactResult, Exhausted, Proved, SaturationResult, SearchLimits, ShapeHook,
+        Signature, WitnessPlan,
+    )
+    from eqseq.transform import TransformReport, _RightJob
+
+    x = BoundVar("x")
+    fa = f(a)
+    e = Eq(a, fa)
+    s = Sequent((e, Atom("P", ())), (Atom("Q", (a, b)),))
+    inst = RuleInstance(RuleId.REP2R, replacement=Replacement(0, 0, ((1,), (0,))))
+    d = Derivation(s, inst, (Derivation(s, RuleInstance(RuleId.INIT, (1, 0))),))
+    spec = CalculusSpec("none", frozenset({RuleId.REFAX}))
+    return {
+        "Param": a, "BoundVar": x, "FunApp": FunApp("g", (fa, x)), "Atom": Atom("P", (a,)), "Eq": e,
+        "Bottom": BOT, "And": And(e, BOT), "Or": Or(BOT, e), "Imp": Imp(e, e),
+        "Forall": Forall("x", Atom("P", (x,))), "Exists": Exists("x", Eq(x, a)),
+        "Sequent": s,
+        "Precedence": Precedence("explicit", frozenset({(a, b)})),
+        "CalculusSpec": spec,
+        "Replacement": Replacement(None, 1, [(1, 0), (0,), (1, 0)]),
+        "RuleInstance": RuleInstance(RuleId.CUT, cut_formula=e, split=((0,), ())),
+        "RuleSig": RULES[RuleId.REP1LP],
+        "Derivation": d,
+        "CheckFailure": CheckFailure((0, 1), "bad"),
+        "CheckReport": CheckReport(False, 1, {RuleId.INIT: 2}, CheckFailure((), "bad")),
+        "SourceSpan": SourceSpan(0, 3, 1, 1),
+        "SearchLimits": SearchLimits(universe=frozenset({a})),
+        "Proved": Proved(Derivation(s, RuleInstance(RuleId.INIT, (1, 0)))),
+        "Exhausted": Exhausted(3, 4),
+        "DecidedUnderivable": DecidedUnderivable("countermodel"),
+        "ShapeHook": ShapeHook("h", frozenset({RuleId.LW}), len),
+        "Signature": Signature(("a",), fixed_ante=(e,)),
+        "SaturationResult": SaturationResult(frozenset({s}), True, 2, 5),
+        "ExactResult": ExactResult(True, False, 7),
+        "Chain": Chain(a, b, ((Eq(a, b), True),)),
+        "WitnessPlan": WitnessPlan(s, None, (Chain(a, a),)),
+        "TransformReport": TransformReport(d, spec, 1, 1),
+        "_RightJob": _RightJob(1, 0, 0, (1,)),
+    }
+
+
+def test_fixed_reprs():
+    values = _fixed_values()
+    assert list(values) == list(FIXED_REPRS)
+    for name, value in values.items():
+        assert type(value).__name__ == name
+        assert repr(value) == FIXED_REPRS[name], name
+
+
+def test_values_are_immutable_and_hash_by_fields():
+    for name, value in _fixed_values().items():
+        field = value._fields[0] if value._fields else "anything"
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        if isinstance(value, (Term, Formula, Sequent)) or name in ("Derivation", "CheckReport"):
+            continue  # identity, multiset and tree hashes; a dict field is unhashable
+        assert hash(value) == hash(tuple(getattr(value, k) for k in value._fields)), name
