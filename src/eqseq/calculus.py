@@ -674,11 +674,11 @@ def premisses_of(conclusion: Sequent, inst: RuleInstance, spec: CalculusSpec) ->
             raise ShapeMismatchError("cng context formula cannot be split into the first premiss")
         if not rep.paths:
             raise ShapeMismatchError("cng needs a nonempty path set")
-        concl_term = term_at(ctx, rep.paths[0])
         prem_term = inst.witness
         if Flag.SINGLE_OCCURRENCE in spec.flags and len(rep.paths) != 1:
             raise FlagViolationError("flag-violation: single-occurrence mode")
         try:
+            concl_term = term_at(ctx, rep.paths[0])
             input_formula = replace_at(ctx, set(rep.paths), concl_term, prem_term)
         except PathError as exc:
             raise ShapeMismatchError(str(exc)) from exc

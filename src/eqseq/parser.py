@@ -25,7 +25,6 @@ from .syntax import (
     And,
     Atom,
     BOT,
-    Bottom,
     BoundVar,
     Eq,
     EqSeqError,
@@ -39,8 +38,9 @@ from .syntax import (
     Path,
     Sequent,
     Term,
+    _BINARY,
     formula_params,
-    replace_leaf,
+    map_leaves,
 )
 
 
@@ -139,12 +139,12 @@ class _Lexer:
         raise ParseError(f"unexpected character {c!r}", self.span(pos, pos + 1))
 
 
-# the binary connectives, loosest first
-_CONNECTIVES = (("->", Imp), ("|", Or), ("&", And))
+# each binary connective's text -> how strongly it binds and its class, as printed
+_CONNECTIVES = {text.strip(): (own, cls) for cls, (text, own, _, _) in _BINARY.items()}
 
 
 class _Parser:
-    """Recursive-descent parser over the token stream.
+    """Parser over the token stream; terms and formulas are read by loops.
 
     A single parser instance tracks function/predicate arities, so arity
     consistency is enforced across one parse call (e.g. a whole ``.drv`` file).
@@ -193,6 +193,14 @@ class _Parser:
 
     def done(self) -> bool:
         return self.i >= len(self.tokens)
+
+    def items(self, read, sep: str = ",") -> list:
+        """``read()``, and again after each ``sep``."""
+        out = [read()]
+        while self.at(sep):
+            self.expect(sep)
+            out.append(read())
+        return out
 
     def require_done(self) -> None:
         tok = self.peek()
@@ -253,51 +261,64 @@ class _Parser:
 
     # -- formulas
 
-    def formula(self, bound: frozenset[str] = frozenset(), level: int = 0) -> Formula:
-        """The formula at ``level`` of :data:`_CONNECTIVES`: its operands, one
-        level tighter, folded to the right."""
-        if level == len(_CONNECTIVES):
-            return self._unit(bound)
-        op, cls = _CONNECTIVES[level]
-        operands = [self.formula(bound, level + 1)]
-        while self.at(op):
-            self.expect(op)
-            operands.append(self.formula(bound, level + 1))
-        f = operands.pop()
-        while operands:
-            f = cls(operands.pop(), f)
-        return f
+    def formula(self, bound: frozenset[str] = frozenset()) -> Formula:
+        """One formula, read by a loop over a stack of open frames: ``None``
+        for a ``(``, or ``(strength, class, first field, bound names
+        outside)`` for a connective and its left operand or a quantifier
+        (strength -1) and its variable.  A connective closes the open ones
+        that bind more strongly (right associativity: not its equals); a
+        quantifier stays open until its formula ends (maximal scope)."""
+        frames: list = []
+        while True:
+            tok = self.peek()
+            if tok is None:
+                raise ParseError("expected a formula", self._eof_span())
+            kind, text = tok[0], tok[1]
+            if text == "(":
+                self.expect("(")
+                frames.append(None)
+                continue
+            if kind == "ident" and (text == "forall" or text == "exists"):
+                self.i += 1
+                var = self.next()
+                if var[0] != "ident" or not var[1][0].islower():
+                    raise ParseError("expected a bound variable name", self._span(var))
+                self.expect(".")
+                frames.append((-1, Forall if text == "forall" else Exists, var[1], bound))
+                bound = bound | {var[1]}
+                continue
+            f = self._atomic(tok, bound)
+            while True:
+                text = self.tokens[self.i][1] if self.i < len(self.tokens) else None
+                if text in _CONNECTIVES:
+                    strength, cls = _CONNECTIVES[text]
+                    while frames and frames[-1] is not None and frames[-1][0] > strength:
+                        _, tighter, left, _ = frames.pop()
+                        f = tighter(left, f)
+                    self.expect(text)
+                    frames.append((strength, cls, f, bound))
+                    break
+                # the formula ends here, or an open ``(`` ends with ``)``
+                while frames and frames[-1] is not None:
+                    _, cls, first, bound = frames.pop()
+                    f = cls(first, f)
+                if not frames:
+                    return f
+                self.expect(")")
+                frames.pop()
 
-    def _unit(self, bound: frozenset[str]) -> Formula:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("expected a formula", self._eof_span())
+    def _atomic(self, tok: _Token, bound: frozenset[str]) -> Formula:
+        """``bot``, an atom or an equality, which starts at ``tok``."""
         kind, text = tok[0], tok[1]
-        if text == "(":
-            self.expect("(")
-            f = self.formula(bound)
-            self.expect(")")
-            return f
-        if kind == "ident" and text in ("forall", "exists"):
-            self.next()
-            var = self.next()
-            if var[0] != "ident" or not var[1][0].islower():
-                raise ParseError("expected a bound variable name", self._span(var))
-            self.expect(".")
-            body = self.formula(bound | {var[1]})
-            return Forall(var[1], body) if text == "forall" else Exists(var[1], body)
         if kind == "ident" and text == "bot":
-            self.next()
+            self.i += 1
             return BOT
         if kind == "ident" and text[0].isupper():
-            self.next()
+            self.i += 1
             args: list[Term] = []
             if self.at("("):
                 self.expect("(")
-                args.append(self.term(bound))
-                while self.at(","):
-                    self.expect(",")
-                    args.append(self.term(bound))
+                args = self.items(lambda: self.term(bound))
                 self.expect(")")
             self._check_pred(tok, len(args))
             return Atom(text, tuple(args))
@@ -310,19 +331,9 @@ class _Parser:
     # -- sequents
 
     def parse_sequent_body(self) -> Sequent:
-        ante: list[Formula] = []
-        if not self.at("|-"):
-            ante.append(self._sequent_formula())
-            while self.at(","):
-                self.expect(",")
-                ante.append(self._sequent_formula())
+        ante = () if self.at("|-") else self.items(self._sequent_formula)
         self.expect("|-")
-        succ: list[Formula] = []
-        if not self.done() and not self.at(")"):
-            succ.append(self._sequent_formula())
-            while self.at(","):
-                self.expect(",")
-                succ.append(self._sequent_formula())
+        succ = () if self.done() or self.at(")") else self.items(self._sequent_formula)
         return Sequent(tuple(ante), tuple(succ))
 
     def _sequent_formula(self) -> Formula:
@@ -362,108 +373,66 @@ def _rename_binders_apart(f: Formula) -> Formula:
     parameter, no enclosing binder and no binder inside its body, so the
     renaming captures no variable."""
     params = formula_params(f)
+    below: dict[Formula, frozenset[str]] = {}  # the binder names inside each formula walked
 
-    def binders(g: Formula) -> set[str]:
-        out: set[str] = set()
+    def binders(g: Formula) -> frozenset[str]:  # children first, each formula once
         stack = [g]
         while stack:
-            h = stack.pop()
-            if isinstance(h, (And, Or, Imp)):
-                stack += (h.left, h.right)
-            elif isinstance(h, (Forall, Exists)):
-                out.add(h.var)
-                stack.append(h.body)
-        return out
+            h = stack[-1]
+            quantifier = isinstance(h, (Forall, Exists))
+            parts = (h.body,) if quantifier else (h.left, h.right) if isinstance(h, (And, Or, Imp)) else ()
+            todo = [p for p in parts if p not in below]
+            if not todo:
+                stack.pop()
+                below[h] = frozenset({h.var} if quantifier else ()).union(*[below[p] for p in parts])
+            stack += todo
+        return below[g]
 
-    # ``renaming`` maps each enclosing binder's name to its new one
-    def walk(g: Formula, renaming: dict[str, str]) -> Formula:
-        if isinstance(g, (And, Or, Imp)):
-            return type(g)(walk(g.left, renaming), walk(g.right, renaming))
-        if isinstance(g, (Forall, Exists)):
-            var, body = g.var, g.body
-            if var in params:
-                taken = params | set(renaming.values()) | binders(body)
-                while var in taken:
-                    var += "'"
-                body = replace_leaf(body, BoundVar(g.var), BoundVar(var))
-            return type(g)(var, walk(body, {**renaming, g.var: var}))
-        return g
+    # ``image`` maps the variable of each enclosing binder to its new one
+    def rename(q: Forall | Exists, image: dict[BoundVar, BoundVar]) -> str:
+        var = q.var
+        if var in params:
+            taken = params | {v.name for v in image.values()} | binders(q.body)
+            while var in taken:
+                var += "'"
+        return var
 
-    return walk(f, {})
+    return map_leaves(f, {}, rename)
 
 
-def _check_reserved(p: _Parser) -> None:
+def _parse_all(text: str, read):
+    """``read`` of a parser over ``text``, which must consume all of it; no
+    identifier in ``text`` may take the eigenparameters' prefix ``_``."""
+    p = _Parser(text)
     for tok in p.tokens:
         if tok[0] == "ident" and tok[1].startswith("_"):
             raise ParseError(
                 f"identifier {tok[1]!r} is reserved for generated eigenparameters", p._span(tok)
             )
+    out = read(p)
+    p.require_done()
+    return out
 
 
 def parse_term(text: str) -> Term:
-    p = _Parser(text)
-    _check_reserved(p)
-    t = p.term(frozenset())
-    p.require_done()
-    return t
+    return _parse_all(text, lambda p: p.term(frozenset()))
 
 
 def parse_formula(text: str) -> Formula:
-    p = _Parser(text)
-    _check_reserved(p)
-    f = p.formula()
-    p.require_done()
-    return _rename_binders_apart(f)
+    return _rename_binders_apart(_parse_all(text, _Parser.formula))
 
 
 def parse_sequent(text: str) -> Sequent:
-    p = _Parser(text)
-    _check_reserved(p)
-    s = p.parse_sequent_body()
-    p.require_done()
-    return Sequent(
-        tuple(_rename_binders_apart(f) for f in s.ante),
-        tuple(_rename_binders_apart(f) for f in s.succ),
-    )
+    s = _parse_all(text, _Parser.parse_sequent_body)
+    return Sequent(tuple(map(_rename_binders_apart, s.ante)), tuple(map(_rename_binders_apart, s.succ)))
 
 
 # ---------------------------------------------------------------------------
 # Printers (canonical form; parse of the output reproduces the value)
 
-_PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNIT = 0, 1, 2, 3
-
-
-def print_formula(f: Formula, prec: int = _PREC_IMP) -> str:
-    if isinstance(f, (Atom, Eq, Bottom)):
-        return str(f)
-    if isinstance(f, Imp):
-        s = f"{print_formula(f.left, _PREC_OR)} -> {print_formula(f.right, _PREC_IMP)}"
-        return f"({s})" if prec > _PREC_IMP else s
-    if isinstance(f, Or):
-        s = f"{print_formula(f.left, _PREC_AND)} | {print_formula(f.right, _PREC_OR)}"
-        return f"({s})" if prec > _PREC_OR else s
-    if isinstance(f, And):
-        s = f"{print_formula(f.left, _PREC_UNIT)} & {print_formula(f.right, _PREC_AND)}"
-        return f"({s})" if prec > _PREC_AND else s
-    if isinstance(f, Forall):
-        s = f"forall {f.var}. {print_formula(f.body, _PREC_IMP)}"
-        return f"({s})" if prec > _PREC_IMP else s
-    if isinstance(f, Exists):
-        s = f"exists {f.var}. {print_formula(f.body, _PREC_IMP)}"
-        return f"({s})" if prec > _PREC_IMP else s
-    raise EqSeqError(f"unknown formula node {f!r}")
-
-
-def print_sequent(s: Sequent) -> str:
-    left = ", ".join(print_formula(f) for f in s.ante)
-    right = ", ".join(print_formula(f) for f in s.succ)
-    if left and right:
-        return f"{left} |- {right}"
-    if left:
-        return f"{left} |-"
-    if right:
-        return f"|- {right}"
-    return "|-"
+# the one formula and sequent printer is the values' own ``str``
+print_formula = Formula.__str__
+print_sequent = Sequent.__str__
 
 
 def print_path(p: Path) -> str:
@@ -536,55 +505,30 @@ class _DerivationParser(_Parser):
         sub.formulas = self.formulas
         return sub
 
-    def _int(self) -> int:
+    def _take(self, kind: str, what: str) -> _Token:
+        """The next token, which must be of ``kind``."""
         tok = self.next()
-        if tok[0] != "int":
-            raise ParseError(f"expected an index, found {tok[1]!r}", self._span(tok))
-        return int(tok[1])
-
-    def _index_csv(self) -> tuple[int, ...]:
-        parts: list[int] = []
-        if self.at(";") or self.at("]"):
-            return ()
-        parts.append(self._int())
-        while self.at(","):
-            self.expect(",")
-            parts.append(self._int())
-        return tuple(parts)
-
-    def _path(self) -> Path:
-        parts = [self._int()]
-        while self.at("."):
-            self.expect(".")
-            parts.append(self._int())
-        return tuple(parts)
-
-    def _paths_csv(self) -> tuple[Path, ...]:
-        if self.at(";") or self.at("]"):
-            return ()
-        paths = [self._path()]
-        while self.at(","):
-            self.expect(",")
-            paths.append(self._path())
-        return tuple(paths)
-
-    def _string(self) -> _Token:
-        tok = self.next()
-        if tok[0] != "string":
-            raise ParseError(f"expected a quoted string, found {tok[1]!r}", self._span(tok))
+        if tok[0] != kind:
+            raise ParseError(f"expected {what}, found {tok[1]!r}", self._span(tok))
         return tok
 
-    def _name(self) -> str:
-        tok = self.next()
-        if tok[0] != "ident":
-            raise ParseError(f"expected a name, found {tok[1]!r}", self._span(tok))
-        return tok[1]
+    def _int(self) -> int:
+        return int(self._take("int", "an index")[1])
+
+    def _index_csv(self) -> tuple[int, ...]:
+        return () if self.at(";") or self.at("]") else tuple(self.items(self._int))
+
+    def _path(self) -> Path:
+        return tuple(self.items(self._int, "."))
+
+    def _paths_csv(self) -> tuple[Path, ...]:
+        return () if self.at(";") or self.at("]") else tuple(self.items(self._path))
 
     def _quoted(self, read):
         """``read`` of a parser over the next quoted string, sharing this one's
         arities, which must consume the whole string.  An error inside keeps
         its class and message and gets its span in this parser's text."""
-        string = self._string()
+        string = self._take("string", "a quoted string")
         sub = self._sub(string[1])
         try:
             out = read(sub)
@@ -618,7 +562,7 @@ class _DerivationParser(_Parser):
             elif field == "witness":
                 got[field] = self.term(frozenset())
             elif field == "eigen":
-                got[field] = self._name()
+                got[field] = self._take("ident", "a name")[1]
             elif field == "paths":
                 got[field] = self._paths_csv()
             else:  # eq_index, context_index
@@ -626,9 +570,7 @@ class _DerivationParser(_Parser):
         if "paths" in got and not got["paths"]:
             raise ParseError("malformed instance args: empty path list", self._span(rule_tok))
         self.expect("]")
-        replacement = None
-        if "paths" in got:
-            replacement = Replacement(got.get("eq_index"), got["context_index"], got["paths"])
+        replacement = Replacement(got.get("eq_index"), got["context_index"], got["paths"]) if "paths" in got else None
         return RuleInstance(
             rule,
             tuple(principal),
@@ -661,7 +603,7 @@ class _DerivationParser(_Parser):
             raise ParseError(f"unknown rule id {tok[1]!r}", self._span(tok))
         rule = RULE_BY_NAME[tok[1]]
         inst = self.instance_args(rule, tok)
-        string = self._string()
+        string = self._take("string", "a quoted string")
         sub = self._sub(string[1])
         try:
             seq = sub.parse_sequent_body()

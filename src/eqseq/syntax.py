@@ -18,7 +18,6 @@ class and loads no class-generating module.
 from __future__ import annotations
 
 import weakref
-from functools import cached_property
 
 
 class EqSeqError(Exception):
@@ -235,28 +234,50 @@ def subterms(t: Term) -> set[Term]:
 class Formula(_Node):
     __slots__ = ()
 
+    def __str__(self) -> str:
+        """The formula in the parser's syntax with the fewest parentheses.
+        An explicit stack holds text and ``(formula, strength)`` pairs: a
+        formula binding more loosely than its place needs is parenthesised."""
+        out: list[str] = []
+        stack: list = [(self, 0)]
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                out.append(item)
+                continue
+            f, need = item
+            cls = f.__class__
+            if cls is Atom:
+                out.append(f"{f.pred}({', '.join(map(str, f.args))})" if f.args else f.pred)
+            elif cls is Eq:
+                out.append(f"{f.lhs} = {f.rhs}")
+            elif cls is Bottom:
+                out.append("bot")
+            else:
+                if cls in _BINARY:
+                    text, own, left, right = _BINARY[cls]
+                    parts = ((f.right, right), text, (f.left, left))
+                elif cls is Forall or cls is Exists:
+                    own, parts = 0, ((f.body, 0), f"{'forall' if cls is Forall else 'exists'} {f.var}. ")
+                else:
+                    raise SyntaxInvariantError(f"unknown formula node {f!r}")
+                if need > own:
+                    out.append("(")
+                    stack.append(")")
+                stack += parts  # pushed in reverse: they pop left to right
+        return "".join(out)
+
 
 class Atom(Formula):
     __slots__ = _fields = ("pred", "args")
-
-    def __str__(self) -> str:
-        if not self.args:
-            return self.pred
-        return f"{self.pred}({', '.join(str(a) for a in self.args)})"
 
 
 class Eq(Formula):
     __slots__ = _fields = ("lhs", "rhs")
 
-    def __str__(self) -> str:
-        return f"{self.lhs} = {self.rhs}"
-
 
 class Bottom(Formula):
     __slots__ = ()
-
-    def __str__(self) -> str:
-        return "bot"
 
 
 BOT = Bottom()
@@ -282,6 +303,11 @@ class Exists(Formula):
     __slots__ = _fields = ("var", "body")
 
 
+# each connective's text, how strongly it binds (a quantifier: 0), and the
+# strength its left and right operands need; the parser reads it too
+_BINARY = {Imp: (" -> ", 0, 1, 0), Or: (" | ", 1, 2, 1), And: (" & ", 2, 3, 2)}
+
+
 def is_atomic(f: Formula) -> bool:
     """Atoms and equalities; the only legal context formulas for replacement."""
     return isinstance(f, (Atom, Eq))
@@ -298,13 +324,14 @@ def atomic_parts(f: Formula) -> list[Formula]:
     stack = [f]
     while stack:
         g = stack.pop()
-        if isinstance(g, (Atom, Eq)):
+        cls = g.__class__
+        if cls is Atom or cls is Eq:
             out.append(g)
-        elif isinstance(g, (And, Or, Imp)):
+        elif cls is And or cls is Or or cls is Imp:
             stack += (g.right, g.left)
-        elif isinstance(g, (Forall, Exists)):
+        elif cls is Forall or cls is Exists:
             stack.append(g.body)
-        elif not isinstance(g, Bottom):
+        elif cls is not Bottom:
             raise SyntaxInvariantError(f"unknown formula node {g!r}")
     return out
 
@@ -323,42 +350,71 @@ def formula_has_function_symbols(f: Formula) -> bool:
 # Substitution
 
 
-def replace_leaf(x: Term | Formula, old: Param | BoundVar, new: Term) -> Term | Formula:
-    """The term or formula ``x`` with every occurrence of the leaf ``old``
-    replaced by ``new``.
+def _map_term(t: Term, image: dict[Term, Term]) -> Term:
+    """``t`` with each leaf in ``image`` replaced by its image."""
+    if not t.height:
+        return image.get(t, t)
+    # children first over an explicit stack; an application whose arguments
+    # all map to themselves is kept (interned: ``==`` is ``is``)
+    done: dict[Term, Term] = {}
+    stack = [t]
+    while stack:
+        s = stack[-1]
+        todo = [a for a in s.args if a.height and a not in done]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        args = tuple([done[a] if a.height else image.get(a, a) for a in s.args])
+        done[s] = s if args == s.args else FunApp(s.sym, args)
+    return done[t]
 
-    A parameter is free by construction and is replaced everywhere; a bound
-    variable only where it is free, so a quantifier binding its name is left
-    whole.
-    """
+
+def map_leaves(x: Term | Formula, image: dict[Term, Term], rename=None) -> Term | Formula:
+    """The term or formula ``x`` with every free occurrence of a leaf
+    (parameter or bound variable) in ``image`` replaced by its image, rebuilt
+    over an explicit stack.  A parameter is free by construction.  Inside a
+    quantifier its own variable leaves the image (shadowing), or, given
+    ``rename``, the quantifier takes the name ``rename(quantifier, image)``
+    and its variable maps to that name in its body."""
     if isinstance(x, Term):
-        # children first over an explicit stack; an application whose
-        # arguments all map to themselves is kept (interned: ``==`` is ``is``)
-        image: dict[Term, Term] = {old: new}
-        stack = [x] if x.height else []
-        while stack:
-            t = stack[-1]
-            todo = [a for a in t.args if a.height and a not in image]
-            if todo:
-                stack += todo
-                continue
-            stack.pop()
-            args = tuple([image.get(a, a) for a in t.args])
-            image[t] = t if args == t.args else FunApp(t.sym, args)
-        return image.get(x, x)
-    if isinstance(x, Atom):
-        return Atom(x.pred, tuple(replace_leaf(a, old, new) for a in x.args))
-    if isinstance(x, Eq):
-        return Eq(replace_leaf(x.lhs, old, new), replace_leaf(x.rhs, old, new))
-    if isinstance(x, Bottom):
-        return x
-    if isinstance(x, (And, Or, Imp)):
-        return type(x)(replace_leaf(x.left, old, new), replace_leaf(x.right, old, new))
-    if isinstance(x, (Forall, Exists)):
-        if isinstance(old, BoundVar) and x.var == old.name:
-            return x
-        return type(x)(x.var, replace_leaf(x.body, old, new))
-    raise SyntaxInvariantError(f"unknown node {x!r}")
+        return _map_term(x, image)
+    out: list[Formula] = []
+    # ``(formula, image)`` to map, or ``(formula, None or its new variable)``
+    # to rebuild from the parts on top of ``out``
+    stack: list = [(x, image)]
+    while stack:
+        f, img = stack.pop()
+        cls = f.__class__
+        if img is None:
+            right = out.pop()
+            out[-1] = cls(out[-1], right)
+        elif type(img) is str:
+            out[-1] = cls(img, out[-1])
+        elif not img and rename is None or cls is Bottom:
+            out.append(f)
+        elif cls is Atom:
+            out.append(Atom(f.pred, tuple([_map_term(a, img) for a in f.args])) if img else f)
+        elif cls is Eq:
+            out.append(Eq(_map_term(f.lhs, img), _map_term(f.rhs, img)) if img else f)
+        elif cls is And or cls is Or or cls is Imp:
+            stack += ((f, None), (f.right, img), (f.left, img))
+        elif cls is Forall or cls is Exists:
+            var, own = f.var, BoundVar(f.var)
+            if rename is not None:
+                var = rename(f, img)
+                img = {**img, own: BoundVar(var)}
+            elif own in img:
+                img = {k: v for k, v in img.items() if k is not own}
+            stack += ((f, var), (f.body, img))
+        else:
+            raise SyntaxInvariantError(f"unknown node {f!r}")
+    return out[0]
+
+
+def replace_leaf(x: Term | Formula, old: Param | BoundVar, new: Term) -> Term | Formula:
+    """:func:`map_leaves` with the one leaf ``old`` mapped to ``new``."""
+    return map_leaves(x, {old: new})
 
 
 def substitute(f: Formula, var: str, t: Term) -> Formula:
@@ -370,7 +426,7 @@ def substitute(f: Formula, var: str, t: Term) -> Formula:
     """
     if term_has_bound(t):
         raise SyntaxInvariantError(f"unbound-var-in-term: {t}")
-    return replace_leaf(f, BoundVar(var), t)
+    return map_leaves(f, {BoundVar(var): t})
 
 
 # ---------------------------------------------------------------------------
@@ -483,12 +539,6 @@ def replace_at(f: Formula, paths: frozenset[Path] | set[Path], frm: Term, to: Te
 # Sequents
 
 
-def _multiset_key(fs: tuple[Formula, ...]) -> tuple[Formula, ...]:
-    """The formulas in address order: one order per multiset, as equal
-    formulas are one object."""
-    return tuple(sorted(fs, key=id))
-
-
 class Sequent(Record):
     """A pair of formula multisets; equality ignores order but not multiplicity."""
 
@@ -498,22 +548,30 @@ class Sequent(Record):
         _set(self, "ante", ante)
         _set(self, "succ", succ)
 
-    @cached_property
-    def _key(self) -> tuple:
-        return (_multiset_key(self.ante), _multiset_key(self.succ))
+    _key = _hash = None  # the multisets and their hash, stored on first use
+
+    def _multisets(self) -> tuple:
+        """Each side in address order: one order per multiset, as equal
+        formulas are one object."""
+        key = self._key
+        if key is None:
+            key = self.__dict__["_key"] = (tuple(sorted(self.ante, key=id)), tuple(sorted(self.succ, key=id)))
+        return key
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sequent):
             return NotImplemented
-        return self._key == other._key
+        return self._multisets() == other._multisets()
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        h = self._hash
+        if h is None:
+            h = self.__dict__["_hash"] = hash(self._multisets())
+        return h
 
     def __str__(self) -> str:
-        left = ", ".join(str(f) for f in self.ante)
-        right = ", ".join(str(f) for f in self.succ)
-        return f"{left} |- {right}".strip()
+        """``A1, ..., Am |- B1, ..., Bn`` in the parser's syntax."""
+        return f"{', '.join(map(str, self.ante))} |- {', '.join(map(str, self.succ))}".strip()
 
     def params(self) -> set[str]:
         out: set[str] = set()

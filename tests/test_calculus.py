@@ -8,14 +8,18 @@ from eqseq.calculus import (
     CalculusSpec,
     EigenvariableError,
     Flag,
+    LOGICAL_RULES,
     OrientationViolationError,
     PRESETS,
     PREC_HEIGHT,
     Precedence,
+    RULES,
     RuleId,
     RuleInstance,
+    RuleNotInCalculusError,
     Replacement,
     ShapeMismatchError,
+    _FIELD_ATTR,
     _goal_predicates,
     _nonempty_nonoverlapping_subsets,
     _sorted_universe,
@@ -343,6 +347,62 @@ def test_premisses_in_order(rule, spec, concl, principal, eigen, premisses, wron
     assert [(p.ante, p.succ) for p in got] == [(seq(p).ante, seq(p).succ) for p in premisses]
     with pytest.raises(ShapeMismatchError):
         premisses_of(seq(concl), RuleInstance(rule, wrong, eigen=eigen), spec)
+
+
+def _spec_allowing(rule):
+    specs = (CalculusSpec(base, frozenset({rule}) - LOGICAL_RULES) for base in ("none", "c", "i", "m"))
+    return next(s for s in specs if s.allows(rule))
+
+
+def _cng(paths, eq_index=None, witness=parse_term("a")):
+    return RuleInstance(RuleId.CNG, (), Replacement(eq_index, 0, paths), witness, split=((), ()))
+
+
+# (conclusion, an instance that its rule's branch of premisses_of rejects, the
+#  error): one case for each rejection branch that no other test takes
+REJECTIONS = [
+    ("P(a) |-", leaf(RuleId.LBOT, 0), ShapeMismatchError),
+    ("bot |- P(a)", leaf(RuleId.MINBOT, 0, 0), ShapeMismatchError),
+    ("P(a) |- P(a)", RuleInstance(RuleId.CUT, split=((0,), ())), ShapeMismatchError),
+    ("|- a = a", RuleInstance(RuleId.REFL), ShapeMismatchError),
+    ("P(a) |- P(a)", leaf(RuleId.SYMM, 0), ShapeMismatchError),
+    ("a = b |- P(b)", repl_inst(RuleId.REP1R, None, 0, [(0,)]), ShapeMismatchError),
+    ("a = b |- P(b) & P(b)", repl_inst(RuleId.REP1R, 0, 0, [(0,)]), ShapeMismatchError),
+    ("|- P(b)", _cng([(0,)], witness=None), ShapeMismatchError),
+    ("a = b |- P(b)", _cng([(0,)], eq_index=0), ShapeMismatchError),
+    ("|- P(b) & P(b)", _cng([(0,)]), ShapeMismatchError),
+    ("|- P(b)", _cng([]), ShapeMismatchError),
+    ("|- Q(b, c)", _cng([(0,), (1,)]), ShapeMismatchError),  # the paths hold two terms
+    ("|- P(b)", _cng([(5,)]), ShapeMismatchError),  # the path does not resolve
+]
+
+
+@pytest.mark.parametrize("concl, inst, error", REJECTIONS, ids=[f"{c[1].rule.value}-{k}" for k, c in enumerate(REJECTIONS)])
+def test_premisses_of_rejection_branches(concl, inst, error):
+    with pytest.raises(error):
+        premisses_of(seq(concl), inst, _spec_allowing(inst.rule))
+
+
+def test_every_rule_has_a_premiss_computation():
+    # premisses_of picks its branch by the rule alone, so an instance that
+    # passes the checks every rule shares and meets its branch shows that no
+    # instance of the rule reaches the final "no premiss computation" raise
+    goal = seq("a = b |- a = b")
+    values = {
+        "witness": parse_term("a"),
+        "eigen": "e",
+        "cut_formula": Eq(Param("a"), Param("b")),
+        "split": ((), ()),
+    }
+    for rule, sig in RULES.items():
+        attrs = {_FIELD_ATTR[f]: values.get(_FIELD_ATTR[f]) for f in sig.fields}
+        if "replacement" in attrs:
+            attrs["replacement"] = Replacement(0 if "eq_index" in sig.fields else None, 0, ((0,),))
+        inst = RuleInstance(rule, (0,) * len(sig.principal), **attrs)
+        try:
+            premisses_of(goal, inst, _spec_allowing(rule))
+        except CalculusError as exc:
+            assert not isinstance(exc, RuleNotInCalculusError), (rule, exc)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 from corpus import eq_spine, valid_spine
 from eqseq.cli import _TRANSFORMS, run
 from eqseq.checker import check
-from eqseq.parser import parse_derivation, print_derivation
+from eqseq.parser import parse_derivation, parse_sequent, print_derivation, print_sequent
 from eqseq.calculus import PRESETS, RuleId
 
 
@@ -175,6 +176,134 @@ def test_prove_deep_term(height, tmp_path, capsys):
     assert "result: transformed" in out
 
 
+_DEEP = 10_000
+# (goal, provable): each connective and quantifier nested 10,000 deep, on
+# either side of |-
+DEEP_GOALS = {
+    "parens-left": ("(" * _DEEP + "P(a)" + ")" * _DEEP + " |- P(a)", True),
+    "parens-right": ("P(a) |- " + "(" * _DEEP + "P(a)" + ")" * _DEEP, True),
+    "and-left": (" & ".join(["P(a)"] * _DEEP) + " |- P(a)", True),
+    "and-right": ("P(a) |- " + " & ".join(["P(a)"] * _DEEP), False),
+    "or-left": (" | ".join(["P(a)"] * _DEEP) + " |- P(a)", False),
+    "or-right": ("P(a) |- " + " | ".join(["P(a)"] * _DEEP), True),
+    "imp-left": (" -> ".join(["P(a)"] * _DEEP) + " |- P(a)", False),
+    "imp-right": ("|- " + " -> ".join(["P(a)"] * _DEEP), False),
+    "forall-left": ("forall x. " * _DEEP + "P(x) |- P(a)", False),
+    "forall-right": ("P(a) |- " + "forall x. " * _DEEP + "P(x)", False),
+    "exists-left": ("exists x. " * _DEEP + "P(x) |- P(a)", False),
+    "exists-right": ("P(a) |- " + "exists x. " * _DEEP + "P(x)", False),
+}
+
+
+@pytest.mark.parametrize("name", DEEP_GOALS)
+def test_prove_deep_formula(name, tmp_path, capsys):
+    # every formula walk is a loop: parse, print, rename, prove and check a
+    # formula far past the recursion limit
+    goal, provable = DEEP_GOALS[name]
+    seq = parse_sequent(goal)
+    assert parse_sequent(print_sequent(seq)) == seq
+    drv = tmp_path / "deep.drv"
+    code, out, err = invoke(capsys, "prove", goal, "--preset", "G3cR12r", "--depth", "2", "-o", str(drv))
+    assert (code, err) == (0 if provable else 1, "")
+    if provable:
+        code, out, err = invoke(capsys, "check", str(drv), "--preset", "G3cR12r")
+        assert (code, err) == (0, "")
+        assert "result: valid" in out
+
+
+def test_reports_print_compound_formulas(tmp_path, capsys):
+    # kernel and search errors print formulas as the parser reads them
+    code, out, err = invoke(capsys, "decide", "P(a) & Q(a) |- P(a)")
+    assert (code, out, err) == (2, "", "error: non-atomic-goal: P(a) & Q(a)\n")
+    drv = tmp_path / "land.drv"
+    drv.write_text('(land [0] "P(a) & Q(a) |- P(a)"\n  (init [0;0] "P(a) & Q(a), Q(a) |- P(a)"))\n')
+    code, out, err = invoke(capsys, "check", str(drv), "--preset", "G3cR12r")
+    assert (code, err) == (1, "")
+    assert (
+        "error: at node root: premiss 0 of land should be 'P(a), Q(a) |- P(a)', "
+        "found 'P(a) & Q(a), Q(a) |- P(a)'\n"
+    ) in out
+
+
+# text spliced into inputs by the contract test
+_SNIPPETS = [
+    "(", ")", ",", "&", "|", "->", "|-", "=", "forall x. ", "exists y. ", "bot", "f(", "a", "P(", "0", "7",
+    ";", "[", "]", '"', "_e1", "\u00e9", "\n",
+]
+_DEFECT = re.compile(r"^error: [A-Z]\w*: ", re.M)  # cli.run's line for an uncaught exception
+
+
+# the options each transform op needs
+TRANSFORM_ARGS = {
+    "single-occurrence": ["--preset", "R12rl"],
+    "project": ["--preset", "R12rl"],
+    "translate": ["--source", "R12r", "--target", "R12rl"],
+}
+
+
+def _mutate(rng, text):
+    """``text`` with one or two seeded edits: a character deleted, a snippet
+    inserted, a slice repeated, or an index or a parameter changed in place
+    (which keeps more inputs parsable)."""
+    for _ in range(rng.randint(1, 2)):
+        k = rng.randrange(len(text) + 1)
+        edit = rng.randrange(5)
+        if edit == 0:
+            text = text[:k] + text[k + 1 :]
+        elif edit == 1:
+            text = text[:k] + rng.choice(_SNIPPETS) + text[k:]
+        elif edit == 2:
+            text = text[:k] + text[k : k + rng.randint(1, 12)] + text[k:]
+        else:
+            spots = [m.start() for m in re.finditer(r"[0-9]" if edit == 3 else r"\b[a-e]\b", text)]
+            if spots:
+                k = rng.choice(spots)
+                text = text[:k] + rng.choice("0123" if edit == 3 else "abcde") + text[k + 1 :]
+    return text
+
+
+def test_mutated_inputs_get_a_verdict_or_a_message(tmp_path, capsys):
+    # seeded mutations of the goldens and of sequents, deep ones included,
+    # through check, transform and prove: every run ends in a verdict or an
+    # error message, never in cli.run's defect line
+    rng = random.Random(2026)
+    runs = []
+    goldens = sorted((pathlib.Path(__file__).parent / "golden").glob("*.drv"))
+    for k in range(120):
+        path = goldens[k % len(goldens)]
+        text = path.read_text(encoding="utf-8")
+        spec = re.search(r"^# check: (.*)$", text, re.M).group(1)
+        drv = tmp_path / f"m{k}.drv"
+        drv.write_text(_mutate(rng, text), encoding="utf-8")
+        runs.append(["check", str(drv), "--spec" if "=" in spec else "--preset", spec])
+        if k % 3 == 0:
+            op = rng.choice(sorted(_TRANSFORMS))
+            runs.append(["transform", str(drv), op, *TRANSFORM_ARGS.get(op, [])])
+    sequents = [
+        "a = c, b = c |- a = b",
+        "P(a), a = b |- P(b)",
+        "forall x. P(x) |- exists y. P(y)",
+        "P(a) & Q(b) -> R(a) | bot |- Q(b)",
+        "f(a) = b |- g(b, b) = g(f(a), b)",
+        "(" * 2_000 + "P(a)" + ")" * 2_000 + " |- P(a)",
+        "forall x. " * 2_000 + "P(x) |- P(a)",
+        " & ".join(["P(a)"] * 2_000) + " |- P(a)",
+        "P(a) |- " + " -> ".join(["P(a)"] * 2_000),
+    ]
+    # small bounds keep the runs short: at the default term height, the
+    # universe of a goal with a binary function symbol takes minutes to build
+    bounds = ["--depth", "2", "--term-height", "2"]
+    for k in range(90):
+        goal = sequents[k % len(sequents)]
+        runs.append(["prove", _mutate(rng, goal), "--preset", rng.choice(["R12r", "G3cR12r", "G3i", "CngCut"]), *bounds])
+    defects = []
+    for argv in runs:
+        code, out, err = invoke(capsys, *argv)
+        if code not in (0, 1, 2) or _DEFECT.search(err):
+            defects.append((argv, code, err))
+    assert defects == []
+
+
 def test_check_deep_derivation_file(tmp_path, capsys):
     # 5,000 levels, far past the recursion limit: a verdict, never exit 2
     drv = tmp_path / "deep.drv"
@@ -194,16 +323,11 @@ def test_transform_deep_derivation_file(tmp_path, capsys):
     # right-normalize removes in one pass
     eq7_drv = tmp_path / "deep_eq7.drv"
     eq7_drv.write_text(print_derivation(eq_spine([0 if k % 7 == 6 else 1 for k in range(2_999)])))
-    extra = {
-        "single-occurrence": ["--preset", "R12rl"],
-        "project": ["--preset", "R12rl"],
-        "translate": ["--source", "R12r", "--target", "R12rl"],
-    }
     for op in sorted(_TRANSFORMS):
         if op == "cut-eliminate":
             continue
         for path in (eq_drv, eq7_drv) if op == "right-normalize" else (drv,):
-            code, _, err = invoke(capsys, "transform", str(path), op, *extra.get(op, []))
+            code, _, err = invoke(capsys, "transform", str(path), op, *TRANSFORM_ARGS.get(op, []))
             assert code in (0, 1) and err == "", (op, path.name, code, err)
 
 

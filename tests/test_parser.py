@@ -15,7 +15,7 @@ from eqseq.parser import (
 )
 from eqseq.calculus import RULES, Replacement, RuleId, RuleInstance
 from eqseq.checker import Derivation
-from eqseq.syntax import And, Atom, BoundVar, Eq, Forall, FunApp, Imp, Or, Param, Sequent
+from eqseq.syntax import And, Atom, BoundVar, Eq, Forall, FunApp, Imp, Or, Param, Sequent, map_leaves
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -56,6 +56,65 @@ def test_renamed_binder_captures_no_variable():
     assert print_formula(got) == "P(a) & (forall a''. forall a'. Q(a'', a'))"
     got = parse_formula("P(a) & (forall a. Q(a)) & (forall a'. Q(a'))")
     assert print_formula(got) == "P(a) & (forall a'. Q(a')) & (forall a'. Q(a'))"
+
+
+def _reference_rename_binders_apart(f):
+    """The recursive renaming that the parser's one formula map replaced."""
+    from eqseq.syntax import Exists, formula_params
+
+    params = formula_params(f)
+
+    def binders(g):
+        if isinstance(g, (And, Or, Imp)):
+            return binders(g.left) | binders(g.right)
+        if isinstance(g, (Forall, Exists)):
+            return {g.var} | binders(g.body)
+        return set()
+
+    def replace(g, old, new):  # a bound variable, where it is free
+        if isinstance(g, (And, Or, Imp)):
+            return type(g)(replace(g.left, old, new), replace(g.right, old, new))
+        if isinstance(g, (Forall, Exists)):
+            return g if g.var == old.name else type(g)(g.var, replace(g.body, old, new))
+        return map_leaves(g, {old: new})  # an atomic formula
+
+    def walk(g, renaming):
+        if isinstance(g, (And, Or, Imp)):
+            return type(g)(walk(g.left, renaming), walk(g.right, renaming))
+        if isinstance(g, (Forall, Exists)):
+            var, body = g.var, g.body
+            if var in params:
+                taken = params | set(renaming.values()) | binders(body)
+                while var in taken:
+                    var += "'"
+                body = replace(body, BoundVar(g.var), BoundVar(var))
+            return type(g)(var, walk(body, {**renaming, g.var: var}))
+        return g
+
+    return walk(f, {})
+
+
+# quantifiers over names that collide with parameters and with each other
+_names = ["a", "a'", "a''"]
+_open_formulas = st.recursive(
+    st.builds(
+        lambda args: Atom("Q", tuple(args)),
+        st.lists(st.sampled_from([Param("a"), Param("a'"), *map(BoundVar, _names)]), min_size=1, max_size=3),
+    ),
+    lambda sub: st.one_of(
+        st.builds(lambda cls, l, r: cls(l, r), st.sampled_from([And, Or, Imp]), sub, sub),
+        st.builds(Forall, st.sampled_from(_names), sub),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300)
+@given(_open_formulas)
+def test_binder_renaming_agrees_with_recursive_reference(f):
+    from eqseq.parser import _rename_binders_apart
+
+    assert _rename_binders_apart(f) == _reference_rename_binders_apart(f)
 
 
 def test_sequent_examples():

@@ -209,8 +209,19 @@ def _reference_replace_in_term(t, rel, to):
 
 
 def _reference_replace_leaf(t, old, new):
+    """The recursive ``replace_leaf`` that :func:`eqseq.syntax.map_leaves` replaced."""
     if isinstance(t, FunApp):
         return FunApp(t.sym, tuple(_reference_replace_leaf(x, old, new) for x in t.args))
+    if isinstance(t, Atom):
+        return Atom(t.pred, tuple(_reference_replace_leaf(x, old, new) for x in t.args))
+    if isinstance(t, Eq):
+        return Eq(_reference_replace_leaf(t.lhs, old, new), _reference_replace_leaf(t.rhs, old, new))
+    if isinstance(t, (And, Or, Imp)):
+        return type(t)(_reference_replace_leaf(t.left, old, new), _reference_replace_leaf(t.right, old, new))
+    if isinstance(t, (Forall, Exists)):
+        if isinstance(old, BoundVar) and t.var == old.name:
+            return t
+        return type(t)(t.var, _reference_replace_leaf(t.body, old, new))
     return new if t == old else t
 
 
@@ -316,6 +327,86 @@ formulas = st.recursive(
 @given(st.one_of(tall_terms, formulas))
 def test_repr_agrees_with_recursive_reference(x):
     assert repr(x) == _reference_repr(x)
+
+
+def _reference_print_formula(f, prec=0):
+    """The recursive printer that ``Formula.__str__`` replaced."""
+    if isinstance(f, Atom):
+        return f"{f.pred}({', '.join(str(a) for a in f.args)})" if f.args else f.pred
+    if isinstance(f, Eq):
+        return f"{f.lhs} = {f.rhs}"
+    if isinstance(f, Bottom):
+        return "bot"
+    if isinstance(f, Imp):
+        s = f"{_reference_print_formula(f.left, 1)} -> {_reference_print_formula(f.right, 0)}"
+        return f"({s})" if prec > 0 else s
+    if isinstance(f, Or):
+        s = f"{_reference_print_formula(f.left, 2)} | {_reference_print_formula(f.right, 1)}"
+        return f"({s})" if prec > 1 else s
+    if isinstance(f, And):
+        s = f"{_reference_print_formula(f.left, 3)} & {_reference_print_formula(f.right, 2)}"
+        return f"({s})" if prec > 2 else s
+    s = f"{'forall' if isinstance(f, Forall) else 'exists'} {f.var}. {_reference_print_formula(f.body, 0)}"
+    return f"({s})" if prec > 0 else s
+
+
+def _reference_print_sequent(s):
+    left = ", ".join(_reference_print_formula(f) for f in s.ante)
+    right = ", ".join(_reference_print_formula(f) for f in s.succ)
+    if left and right:
+        return f"{left} |- {right}"
+    return f"{left} |-" if left else f"|- {right}" if right else "|-"
+
+
+_bound_leaves = [BoundVar("x"), BoundVar("y"), BoundVar("a"), BoundVar("a'")]
+_open_terms = st.one_of(tall_terms, st.sampled_from(_bound_leaves))
+binder_formulas = st.recursive(
+    st.one_of(
+        st.just(BOT),
+        st.builds(Eq, _open_terms, _open_terms),
+        st.builds(lambda ts: Atom("P", tuple(ts)), st.lists(_open_terms, max_size=2)),
+    ),
+    lambda sub: st.one_of(
+        st.builds(lambda cls, l, r: cls(l, r), st.sampled_from([And, Or, Imp]), sub, sub),
+        st.builds(
+            lambda cls, var, body: cls(var, body),
+            st.sampled_from([Forall, Exists]),
+            st.sampled_from([v.name for v in _bound_leaves]),
+            sub,
+        ),
+    ),
+    max_leaves=8,
+)
+
+
+@given(binder_formulas, st.lists(binder_formulas, max_size=3), st.lists(binder_formulas, max_size=3))
+def test_one_printer_agrees_with_recursive_reference(f, ante, succ):
+    from eqseq.parser import print_formula, print_sequent
+
+    assert str(f) == print_formula(f) == _reference_print_formula(f)
+    s = Sequent(tuple(ante), tuple(succ))
+    assert str(s) == print_sequent(s) == _reference_print_sequent(s)
+
+
+@given(binder_formulas, _open_terms)
+def test_formula_map_agrees_with_recursive_reference(g, to):
+    from eqseq.syntax import replace_leaf
+
+    for leaf in (Param("a"), Param("b"), *_bound_leaves):
+        assert replace_leaf(g, leaf, to) == _reference_replace_leaf(g, leaf, to)
+
+
+def test_formula_walks_of_a_deep_formula():
+    # 10,000 connectives and quantifiers, far past the recursion limit
+    from eqseq.parser import parse_formula
+    from eqseq.syntax import replace_leaf
+
+    deep = Atom("P", (a,))
+    for k in range(10_000):
+        deep = (And(deep, BOT), Or(BOT, deep), Imp(deep, BOT), Forall("x", deep), Exists("y", deep))[k % 5]
+    text = str(deep)
+    assert parse_formula(text) == deep
+    assert str(replace_leaf(deep, a, b)) == text.replace("P(a)", "P(b)")
 
 
 def test_repr_of_a_deep_term():
