@@ -40,6 +40,7 @@ from .syntax import (
     _set,
     _top_terms,
     atomic_parts,
+    closed_terms,
     is_atomic,
     is_identity,
     occurrences,
@@ -726,14 +727,6 @@ def _check_eigen(name: str, conclusion: Sequent) -> None:
         raise EigenvariableError(f"eigenvariable-violation: {name} occurs in the conclusion")
 
 
-def fresh_eigen(seq: Sequent, taken: set[str] | None = None) -> str:
-    used = seq.params() | (taken or set())
-    k = 1
-    while f"_e{k}" in used:
-        k += 1
-    return f"_e{k}"
-
-
 # ---------------------------------------------------------------------------
 # Backward move generation
 
@@ -806,25 +799,46 @@ def _split_parts(fs: tuple[Formula, ...], splits) -> list[tuple]:
     ]
 
 
+class _Memo(dict):
+    """A table that fills a missing key with ``make(key)``."""
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        out = self[key] = self.make(key)
+        return out
+
+
 class MovePool:
     """What the moves of one search share, so that each is built once: one
     sequent object per ordered list of formulas, a number per multiset pair,
-    and the rewrites of each context formula."""
+    the rewrites of each context formula, the closed subterms and parameter
+    names of each formula, and the sorted term list of each distinct set of
+    terms over the search's universe."""
 
     def __init__(self) -> None:
-        self._sequents: dict[tuple, Sequent] = {}
-        self._rewrites: dict[tuple, list] = {}
+        self._sequents = _Memo(self._pooled)
         self._multisets: dict[Sequent, int] = {}
         self._multiset_of: dict[int, int] = {}
+        self._rewrites = _Memo(lambda key: [
+            (paths, replace_at(key[0], set(paths), *key[1:]))
+            for paths in _nonempty_nonoverlapping_subsets(occurrences(*key[:2]))
+        ])
+        self._terms = _Memo(closed_terms)
+        self._params = _Memo(lambda f: {t.name for t in self._terms[f] if isinstance(t, Param)})
+        self._context_terms = _Memo(lambda f: _sorted_universe({t for s in _top_terms(f) for t in subterms(s)}))
+        self._universe = None
+
+    def _pooled(self, key: tuple) -> Sequent:
+        seq = Sequent(*key)
+        self._multiset_of[id(seq)] = self._multisets.setdefault(seq, len(self._multisets))
+        return seq
 
     def sequent(self, ante, succ) -> Sequent:
         """The sequent ``ante |- succ``."""
-        key = (ante, succ)
-        seq = self._sequents.get(key)
-        if seq is None:
-            seq = self._sequents[key] = Sequent(ante, succ)
-            self._multiset_of[id(seq)] = self._multisets.setdefault(seq, len(self._multisets))
-        return seq
+        return self._sequents[ante, succ]
 
     def multiset(self, seq: Sequent) -> int:
         """A number shared by exactly the pooled sequents equal to ``seq``."""
@@ -832,19 +846,31 @@ class MovePool:
 
     def share(self, seq: Sequent) -> Sequent:
         """The pooled sequent with the formulas of ``seq``, in their order."""
-        return self.sequent(seq.ante, seq.succ)
+        return self._sequents[seq.ante, seq.succ]
 
     def rewrites(self, ctx: Formula, frm: Term, to: Term) -> list[tuple]:
         """``(paths, rewritten ctx)`` for every nonempty set of nonoverlapping
         occurrences of ``frm`` in ``ctx``, replaced by ``to``."""
-        key = (ctx, frm, to)
-        out = self._rewrites.get(key)
-        if out is None:
-            out = self._rewrites[key] = [
-                (paths, replace_at(ctx, set(paths), frm, to))
-                for paths in _nonempty_nonoverlapping_subsets(occurrences(ctx, frm))
-            ]
-        return out
+        return self._rewrites[ctx, frm, to]
+
+    def fresh_eigen(self, seq: Sequent) -> str:
+        """The first of ``_e1``, ``_e2``, ... that no formula of ``seq`` has as a parameter."""
+        used = set().union(*[self._params[f] for f in seq.ante + seq.succ])
+        return next(name for k in itertools.count(1) if (name := f"_e{k}") not in used)
+
+    def terms(self, seq: Sequent, universe) -> list[Term]:
+        """``universe`` and the closed subterms of ``seq``, in
+        :func:`_sorted_universe` order.  What it keeps serves the universe of
+        the last call, which is one per search."""
+        if universe is not self._universe:
+            self._universe, known = universe, frozenset(universe)
+            self._outside = _Memo(lambda f: frozenset(t for t in self._terms[f] if t not in known))
+            self._term_lists = _Memo(lambda extra: _sorted_universe(known | extra))
+        return self._term_lists[frozenset().union(*[self._outside[f] for f in seq.ante + seq.succ])]
+
+    def context_terms(self, ctx: Formula) -> list[Term]:
+        """The subterms of the atomic formula ``ctx``, in :func:`_sorted_universe` order."""
+        return self._context_terms[ctx]
 
 
 def _collector(goal: Sequent, spec: CalculusSpec, out: list, pool: MovePool | None = None):
@@ -902,21 +928,23 @@ def expansions(
     with its premisses: the move generator of backward search and of
     :func:`eqseq.search.exact_decide`.
 
-    Replacement/witness terms and cut formulas are drawn from ``universe``
-    (plus the predicates already present in the goal); eigenparameters are
-    generated fresh.  The result is deterministic and complete relative to
-    that bound, except that CNG/CUT context splits whose premisses are
-    multiset-equal collapse to the first of them.  Zero-premiss instances
-    come first (:func:`leaf_expansions`).
+    Witness, CNG and cut terms are drawn from ``universe`` and the closed
+    subterms of ``goal`` (so eigenparameters that rules below it introduced
+    are witnesses too), in :func:`_sorted_universe` order; cut atoms use the
+    predicates present in the goal; eigenparameters are generated fresh.  The
+    result is deterministic and complete relative to that bound, except that
+    CNG/CUT context splits whose premisses are multiset-equal collapse to the
+    first of them.  Zero-premiss instances come first (:func:`leaf_expansions`).
 
     The premisses are those ``premisses_of`` computes.  It computes them for
     the leaf, logical, structural and reflexivity rules; the replacement,
     CNG and CUT instances, which are most of the moves, are built directly
-    here, with the kernel's own flag and orientation checks.  Premisses are
-    shared through ``pool``, across calls when one is given.
+    here, with the kernel's own flag and orientation checks.  Premisses and
+    the goal's terms come from ``pool``, shared across calls when one is
+    given; a pool serves one universe at a time.
     """
     pool = MovePool() if pool is None else pool
-    terms = _sorted_universe(universe)
+    terms = pool.terms(goal, universe)
     out = leaf_expansions(goal, spec)
     add = _collector(goal, spec, out, pool)
     ante, succ = goal.ante, goal.succ
@@ -933,7 +961,7 @@ def expansions(
                 for t in terms:
                     add(RuleInstance(rule, principal, witness=t))
             elif sig.fields == ("eigen",):
-                eigen = eigen or fresh_eigen(goal)
+                eigen = eigen or pool.fresh_eigen(goal)
                 add(RuleInstance(rule, principal, eigen=eigen))
             else:
                 add(RuleInstance(rule, principal))
@@ -978,8 +1006,7 @@ def expansions(
             for s1, chosen, rest in _split_parts(succ, _first_occurrence_subsets(succ, exclude=j)):
                 at = j - sum(1 for k in s1 if k < j)  # the context's place in the rest
                 succ_parts.append((s1, chosen, rest[:at], rest[at + 1 :]))
-            ctx_terms = _sorted_universe({t for s in _top_terms(ctx) for t in subterms(s)})
-            for s_term in ctx_terms:
+            for s_term in pool.context_terms(ctx):
                 by_witness = [(r, Eq(r, s_term), pool.rewrites(ctx, s_term, r)) for r in terms]
                 for k, paths in enumerate(_nonempty_nonoverlapping_subsets(occurrences(ctx, s_term))):
                     if single and len(paths) != 1:

@@ -18,6 +18,7 @@ from .calculus import (
     RULES,
     RuleId,
     RuleInstance,
+    _goal_predicates,
     _nonempty_nonoverlapping_subsets,
     _sorted_universe,
     expansions,
@@ -39,7 +40,7 @@ from .syntax import (
     Term,
     _set,
     _top_terms,
-    atomic_parts,
+    closed_terms,
     formula_has_function_symbols,
     is_atomic,
     is_identity,
@@ -48,8 +49,6 @@ from .syntax import (
     replace_at,
     replace_formula,
     subterms,
-    term_has_bound,
-    term_height,
 )
 
 
@@ -117,54 +116,34 @@ SearchOutcome = Proved | Exhausted | DecidedUnderivable
 
 def sequent_terms(goal: Sequent) -> set[Term]:
     """All closed subterm occurrences in the sequent, binders included."""
-    base: set[Term] = set()
-    for f in goal.all_formulas():
-        for g in atomic_parts(f):
-            for t in _top_terms(g):
-                base.update(s for s in subterms(t) if not term_has_bound(s))
-    return base
+    return set().union(*map(closed_terms, goal.all_formulas()))
 
 
 def default_universe(goal: Sequent, height_bound: int) -> frozenset[Term]:
-    """Subterms of the goal plus their closure under the goal's function
-    symbols, up to the given term height."""
-    base = sequent_terms(goal)
-    funcs = {t.sym: len(t.args) for t in base if isinstance(t, FunApp)}
-    base = {t for t in base if term_height(t) <= height_bound}
-    return frozenset(_close_under(base, funcs.items(), height_bound))
+    """The goal's parameters closed under its function symbols up to the
+    given term height, which holds every closed subterm of the goal up to it."""
+    terms = sequent_terms(goal)
+    funcs = {t.sym: len(t.args) for t in terms if isinstance(t, FunApp)}
+    return frozenset(_close_under({t for t in terms if isinstance(t, Param)}, funcs.items(), height_bound))
 
 
-def _holds_reachable_terms(goal: Sequent, spec: CalculusSpec, universe) -> bool:
-    """Whether every sequent reached backward from ``goal`` in ``spec`` has
-    its terms in ``universe``, so that adding them to it adds nothing.
-
-    That holds when the universe holds the goal's terms, neither the goal
-    (under its binders too) nor the universe has a function symbol, and
-    ``spec`` has no eigenparameter rule: witnesses, cut formulas and cng
-    equalities are drawn from the universe and the sequent, and a replacement
-    puts one parameter of the sequent for another.
+def _close_under(params: set[Term], funcs, height_bound: int) -> list[Term]:
+    """Every term over ``params`` and the ``(symbol, arity)`` pairs ``funcs``
+    up to the given term height, each built once, level by level: a term of
+    height k has its first argument of height k - 1 at some position i, the
+    arguments before i below height k - 1 and those after it below height k.
     """
-    return (
-        not any(formula_has_function_symbols(f) for f in goal.all_formulas())
-        and all(t.height == 0 for t in universe)
-        and sequent_terms(goal) <= universe
-        and not any("eigen" in sig.fields for _, sig in spec._signatures)
-    )
-
-
-def _close_under(base: set[Term], funcs, height_bound: int) -> set[Term]:
-    """``base``, grown in place by every application of the ``(symbol,
-    arity)`` pairs ``funcs`` up to the given term height."""
-    grown = True
-    while grown:
-        grown = False
+    funcs = dict(funcs).items()
+    levels = [list(params)]
+    for k in range(1, height_bound + 1):
+        lower, top = [t for level in levels[:-1] for t in level], levels[-1]
+        level = [FunApp(sym, ()) for sym, arity in funcs if not arity and k == 1]
         for sym, arity in funcs:
-            for args in itertools.product(sorted(base, key=str), repeat=arity):
-                t = FunApp(sym, tuple(args))
-                if term_height(t) <= height_bound and t not in base:
-                    base.add(t)
-                    grown = True
-    return base
+            for i in range(arity):
+                args = itertools.product(*[lower] * i, top, *[lower + top] * (arity - 1 - i))
+                level += [FunApp(sym, a) for a in args]
+        levels.append(level)
+    return [t for level in levels for t in level]
 
 
 # ---------------------------------------------------------------------------
@@ -309,13 +288,12 @@ def bounded_search(
         if h.matches(goal):
             return DecidedUnderivable(h.name)
     universe = lim.universe if lim.universe is not None else default_universe(goal, lim.term_height)
-    closed = _holds_reachable_terms(goal, spec, universe)
     budget = _Budget(lim.node_budget)
     # memos by multiset: pooled sequents equal as multisets share a number
     proved: dict[int, Derivation] = {}
     # moves of each expanded sequent, shared by all deepening bounds
     move_table: dict[int, list[tuple[RuleInstance, list[Sequent]]]] = {}
-    pool = MovePool()  # premisses: one object per ordered sequent
+    pool = MovePool()  # premisses, one object per ordered sequent, and the terms of the moves
     goal = pool.share(goal)
     multiset = pool.multiset
     budget_hit = False
@@ -338,9 +316,7 @@ def bounded_search(
             if depth <= 0:  # only a leaf rule can close it
                 moves = leaf_expansions(seq, spec)
             else:
-                # eigenparameters introduced above the goal become usable witnesses
-                terms = universe if closed else universe | sequent_terms(seq)
-                moves = move_table[id(seq)] = expansions(seq, spec, terms, pool)
+                moves = move_table[id(seq)] = expansions(seq, spec, universe, pool)
         for inst, premisses in moves:
             if premisses and depth <= 0:
                 break  # the leaf instances come first
@@ -538,22 +514,11 @@ class Signature(namedtuple(
 
     @staticmethod
     def from_goal(goal: Sequent, fixed_ante: bool = False, max_ante: int = 2, max_succ: int = 1) -> "Signature":
-        params: set[str] = set()
-        funcs: dict[str, int] = {}
-        preds: dict[str, int] = {}
-        for g in (g for f in goal.all_formulas() for g in atomic_parts(f)):
-            if isinstance(g, Atom):
-                preds[g.pred] = len(g.args)
-            for t in _top_terms(g):
-                for s in subterms(t):
-                    if isinstance(s, Param):
-                        params.add(s.name)
-                    elif isinstance(s, FunApp):
-                        funcs[s.sym] = len(s.args)
+        terms = sequent_terms(goal)
         return Signature(
-            tuple(sorted(params)),
-            tuple(sorted(funcs.items())),
-            tuple(sorted(preds.items())),
+            tuple(sorted(t.name for t in terms if isinstance(t, Param))),
+            tuple(sorted({t.sym: len(t.args) for t in terms if isinstance(t, FunApp)}.items())),
+            tuple(sorted(_goal_predicates(goal))),
             max_ante=max_ante,
             max_succ=max_succ,
             fixed_ante=goal.ante if fixed_ante else None,
@@ -662,39 +627,39 @@ def exact_decide(goal: Sequent, spec: CalculusSpec, lim: SearchLimits) -> ExactR
     is False when the budget was hit, in which case nothing is claimed.
     """
     universe = lim.universe if lim.universe is not None else default_universe(goal, lim.term_height)
-    closed = _holds_reachable_terms(goal, spec, universe)
     pool = MovePool()
-    seen: dict[Sequent, list[list[Sequent]]] = {}
+    goal = pool.share(goal)
+    multiset = pool.multiset
+    # the premisses' multiset numbers of each move, by the multiset of the expanded sequent
+    seen: dict[int, list[list[int]]] = {}
     frontier = deque([goal])
     states = 0
     while frontier:
         seq = frontier.popleft()
-        if seq in seen:
+        mset = multiset(seq)
+        if mset in seen:
             continue
         states += 1
         if states > lim.node_budget:
             return ExactResult(False, False, states)
-        alts: list[list[Sequent]] = []
-        terms = universe if closed else universe | sequent_terms(seq)
-        for _, premisses in expansions(seq, spec, terms, pool):
-            alts.append(premisses)
-            for p in premisses:
-                if p not in seen:
-                    frontier.append(p)
-        seen[seq] = alts
-    marked: set[Sequent] = set()
+        alts: list[list[int]] = []
+        for _, premisses in expansions(seq, spec, universe, pool):
+            alts.append([multiset(p) for p in premisses])
+            frontier.extend(p for p in premisses if multiset(p) not in seen)
+        seen[mset] = alts
+    marked: set[int] = set()
     changed = True
     while changed:
         changed = False
-        for seq, alts in seen.items():
-            if seq in marked:
+        for mset, alts in seen.items():
+            if mset in marked:
                 continue
             for premisses in alts:
                 if all(p in marked for p in premisses):
-                    marked.add(seq)
+                    marked.add(mset)
                     changed = True
                     break
-    return ExactResult(True, goal in marked, states)
+    return ExactResult(True, multiset(goal) in marked, states)
 
 
 # ---------------------------------------------------------------------------

@@ -336,10 +336,13 @@ def atomic_parts(f: Formula) -> list[Formula]:
     return out
 
 
+def closed_terms(f: Formula) -> set[Term]:
+    """The subterms of ``f`` with no bound variable, under its binders too."""
+    return {s for g in atomic_parts(f) for t in _top_terms(g) for s in subterms(t) if not s.has_bound}
+
+
 def formula_params(f: Formula) -> set[str]:
-    return {
-        s.name for g in atomic_parts(f) for t in _top_terms(g) for s in subterms(t) if isinstance(s, Param)
-    }
+    return {t.name for t in closed_terms(f) if isinstance(t, Param)}
 
 
 def formula_has_function_symbols(f: Formula) -> bool:

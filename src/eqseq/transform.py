@@ -438,6 +438,12 @@ def _refl_step(child: Derivation, t: Term, tools: CalculusSpec) -> Derivation:
     raise UntranslatableRuleError("target lacks both reflexivity rules")
 
 
+def _lc_rule(f: Formula, tools: CalculusSpec) -> RuleId:
+    """The left contraction of ``f``: ``lceq`` when ``tools`` has it and ``f``
+    is an equality, ``lc`` otherwise."""
+    return RuleId.LCEQ if RuleId.LCEQ in tools.rules and isinstance(f, Eq) else RuleId.LC
+
+
 def _lw_node(child: Derivation, f: Formula) -> Derivation:
     seq = child.sequent
     concl = Sequent(seq.ante + (f,), seq.succ)
@@ -570,8 +576,7 @@ def _emit_right_step(
         # the =-rule removes its operating equality backward; add a copy, contract
         mid = Sequent((e,) + concl.ante, concl.succ)
         stepped = node(mid, repl_inst(eqrule, 0, j, paths), child)
-        lc = RuleId.LCEQ if RuleId.LCEQ in tools.rules else RuleId.LC
-        return node(concl, RuleInstance(lc, (ei,)), stepped)
+        return node(concl, RuleInstance(_lc_rule(e, tools), (ei,)), stepped)
 
     def by_flip() -> Derivation:
         d1 = _symm_step(child, ei, tools)
@@ -612,7 +617,7 @@ def _right_step_via_cng(child, concl, idx, ei, j, paths, tools) -> Derivation:
         split=((0,), ()),
     )
     stepped = node(mid, inst, p1, child)
-    return node(concl, RuleInstance(RuleId.LCEQ if RuleId.LCEQ in tools.rules else RuleId.LC, (ei,)), stepped)
+    return node(concl, RuleInstance(_lc_rule(e, tools), (ei,)), stepped)
 
 
 def _right_step_via_left(child, concl, idx, ei, j, paths, rule, tools) -> Derivation:
@@ -645,8 +650,8 @@ def _right_step_via_left(child, concl, idx, ei, j, paths, rule, tools) -> Deriva
         )),
     )
     stepped = node(mid, inst, child, bridge)
-    lc = RuleId.LCEQ if RuleId.LCEQ in tools.rules else RuleId.LC
-    return _reorder_root(node(Sequent(child.sequent.ante, concl.succ), RuleInstance(lc, (ei,)), stepped), concl)
+    contract = RuleInstance(_lc_rule(e, tools), (ei,))
+    return _reorder_root(node(Sequent(child.sequent.ante, concl.succ), contract, stepped), concl)
 
 
 def _emit_left_step(
@@ -688,8 +693,7 @@ def _emit_left_step(
             )
             op2 = ei if ei <= i else ei + 1
             stepped0 = node(mid, repl_inst(rule, op2, i + 1, paths), sub)
-            lc = RuleId.LCEQ if RuleId.LCEQ in tools.rules and isinstance(out, Eq) else RuleId.LC
-            stepped = node(target, RuleInstance(lc, (i,)), stepped0)
+            stepped = node(target, RuleInstance(_lc_rule(out, tools), (i,)), stepped0)
         else:
             # source is strict, simulating rule keeps: weaken the output in first
             want = Sequent(
@@ -715,7 +719,7 @@ def _emit_left_step(
     init = node(Sequent((e, out), (out,)), leaf(RuleId.INIT, 1, 0))
     bridge = _emit_right_step(init, Sequent((e, out), (inp,)), bridge_idx, 0, 0, paths, tools)
     n = len(concl.ante)
-    lc = RuleId.LCEQ if RuleId.LCEQ in tools.rules else RuleId.LC
+    lc = _lc_rule(e, tools)
     if not keeps:
         # cut doubles the operating equality; contract it
         mid = Sequent(concl.ante + (e,), concl.succ)
@@ -728,8 +732,7 @@ def _emit_left_step(
         cut = RuleInstance(RuleId.CUT, cut_formula=inp, split=((n, n + 1), ()))
         stepped = node(mid2, cut, bridge, child)
         mid3 = Sequent(concl.ante + (e,), concl.succ)
-        lc_out = RuleId.LCEQ if RuleId.LCEQ in tools.rules and isinstance(out, Eq) else RuleId.LC
-        stepped = node(mid3, RuleInstance(lc_out, (i,)), stepped)
+        stepped = node(mid3, RuleInstance(_lc_rule(out, tools), (i,)), stepped)
         out_d = node(concl, RuleInstance(lc, (ei,)), stepped)
     if _fragment_ok(out_d, tools):
         return out_d
@@ -952,8 +955,7 @@ def _gencut(dl: Derivation, dr: Derivation, a: Formula, n: int) -> Generator[tup
             return (yield dl, child, a, n + 1)
         sub = yield dl, child, a, n
         k = target.ante.index(f, len(gamma)) if f in lam else target.ante.index(f)
-        lc = RuleId.LCEQ if isinstance(f, Eq) else RuleId.LC
-        return node(target, RuleInstance(lc, (k,)), _reorder_root(sub, Sequent(
+        return node(target, RuleInstance(_lc_rule(f, _SPEC_CNG), (k,)), _reorder_root(sub, Sequent(
             target.ante[: k + 1] + (f,) + target.ante[k + 1 :], target.succ
         )))
 
@@ -1003,10 +1005,10 @@ def _contract_ante_to(d: Derivation, want: tuple[Formula, ...]) -> Derivation:
         while have[f] > need.get(f, 0):
             ante = cur.sequent.ante
             i = ante.index(f)
-            lc = RuleId.LCEQ if isinstance(f, Eq) else RuleId.LC
             concl = Sequent(remove_at(ante, i), cur.sequent.succ)
             k = concl.ante.index(f)
-            cur = node(concl, RuleInstance(lc, (k,)), cur)
+            # every stage of the cut-elimination pipeline has lceq
+            cur = node(concl, RuleInstance(_lc_rule(f, _SPEC_IN), (k,)), cur)
             have[f] -= 1
     return cur
 
@@ -1093,8 +1095,7 @@ def _cng_step(
         sub = yield child, d1, r_term, s_term, out_f, paths
         k = target.ante.index(f)
         prem = Sequent(target.ante[: k + 1] + (f,) + target.ante[k + 1 :], target.succ)
-        lc = RuleId.LCEQ if isinstance(f, Eq) else RuleId.LC
-        return node(target, RuleInstance(lc, (k,)), _reorder_root(sub, prem))
+        return node(target, RuleInstance(_lc_rule(f, _SPEC_REP_LC), (k,)), _reorder_root(sub, prem))
 
     if inst.rule in (RuleId.REP1R, RuleId.REP2R):
         rep = inst.replacement

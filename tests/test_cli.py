@@ -157,6 +157,15 @@ def test_uncaught_exception_exits_2_with_one_line(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: RuntimeError: boom second line\n")
 
 
+@pytest.mark.parametrize("preset", ["R12r", "R12rl"])
+def test_prove_binary_symbol_goal_at_default_term_height(preset, capsys):
+    # the universe of this goal has 5,552 terms at the default term height
+    goal = "f(a) = b |- g(b, b) = g(f(a), b)"
+    code, out, err = invoke(capsys, "prove", "--preset", preset, "--depth", "2", goal)
+    assert (code, err) == (0, "")
+    assert "result: proved" in out
+
+
 @pytest.mark.parametrize("height", [300, 10_000])
 def test_prove_deep_term(height, tmp_path, capsys):
     # every term walk is a loop: parse, prove, print, check and transform
@@ -290,8 +299,9 @@ def test_mutated_inputs_get_a_verdict_or_a_message(tmp_path, capsys):
         " & ".join(["P(a)"] * 2_000) + " |- P(a)",
         "P(a) |- " + " -> ".join(["P(a)"] * 2_000),
     ]
-    # small bounds keep the runs short: at the default term height, the
-    # universe of a goal with a binary function symbol takes minutes to build
+    # small bounds keep the runs short: CngCut's cut and congruence moves
+    # enumerate every universe term, and at the default term height a goal
+    # with a binary function symbol has 5,552 of them
     bounds = ["--depth", "2", "--term-height", "2"]
     for k in range(90):
         goal = sequents[k % len(sequents)]

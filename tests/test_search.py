@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -30,7 +31,7 @@ from eqseq.search import (
     saturate_forward,
     sequent_terms,
 )
-from eqseq.syntax import Eq, Param
+from eqseq.syntax import Eq, FunApp, Param, closed_terms
 
 
 def seq(text):
@@ -84,10 +85,52 @@ def test_identity_hook_covers_cut_systems():
     assert out2 == DecidedUnderivable("identity-antecedent")
 
 
+def _closure_fixpoint(base, funcs, height_bound):
+    """Every application of ``funcs`` to terms of ``base``, added until none
+    is new: the reference for the level-by-level closure."""
+    grown = True
+    while grown:
+        grown = False
+        for sym, arity in funcs:
+            for args in itertools.product(list(base), repeat=arity):
+                t = FunApp(sym, args)
+                if t.height <= height_bound and t not in base:
+                    base.add(t)
+                    grown = True
+    return base
+
+
 def test_default_universe_closure():
     uni = default_universe(seq("a=f(a) |- a=f(f(a))"), 3)
     names = sorted(str(t) for t in uni)
     assert names == ["a", "f(a)", "f(f(a))", "f(f(f(a)))"]
+    # a binary symbol, and a constant applied to no argument
+    for text, funcs, sizes in (
+        ("f(a) = b |- g(b, b) = g(f(a), b)", [("f", 1), ("g", 2)], (8, 74)),
+        ("P(c(), h(a, c())) |- P(a, a)", [("c", 0), ("h", 2)], (3, 11)),
+    ):
+        goal = seq(text)
+        for height, size in enumerate(sizes, 1):
+            uni = default_universe(goal, height)
+            base = {t for t in sequent_terms(goal) if t.height <= height}
+            assert len(uni) == size
+            assert uni == _closure_fixpoint(base, funcs, height)
+    assert len(default_universe(seq("f(a) = b |- g(b, b) = g(f(a), b)"), 3)) == 5_552
+
+
+def test_search_walks_each_formula_once(monkeypatch):
+    # the move pool keeps the terms of each formula: one search walks the
+    # goal once for its universe, and each distinct formula once for its moves
+    import eqseq.calculus
+    import eqseq.search
+
+    walked, universes = [], []
+    monkeypatch.setattr(eqseq.calculus, "closed_terms", lambda f: walked.append(f) or closed_terms(f))
+    monkeypatch.setattr(eqseq.search, "sequent_terms", lambda s: universes.append(s) or sequent_terms(s))
+    out = bounded_search(seq("forall x. " * 50 + "P(x) |- P(a)"), PRESETS["G3cR12r"], SearchLimits())
+    assert isinstance(out, Exhausted) and out.expansions > 100
+    assert len(universes) == 1
+    assert walked and len(walked) == len(set(walked))
 
 
 def test_saturation_refax_only():

@@ -172,6 +172,19 @@ def test_translate_rep_to_strict_left():
     assert out.sequent == d.sequent
 
 
+def test_translate_refl_to_refax_by_cut():
+    # a target without refl closes t = t by refax and cuts it in
+    d = parse_derivation('(refl [a] "P(b) |- P(b)" (init [1;0] "a = a, P(b) |- P(b)"))')
+    assert check(d, PRESETS["RefRep"]).valid
+    out = tf.equivalence_translate(d, "RefRep", "R12r")
+    assert print_derivation(out) == (
+        '(cut [;;"a = a"] "P(b) |- P(b)"\n'
+        '  (refax [0] "|- a = a")\n'
+        '  (init [1;0] "a = a, P(b) |- P(b)"))\n'
+    )
+    assert check(out, R12r.with_rules(RuleId.CUT)).valid
+
+
 def test_translate_matrix_on_random_corpora():
     rng = random.Random(23)
     presets = ["R12r", "R12rl", "R1rlPlus", "R2rlPlus", "RefRep", "RefRep2L", "CngLCeq"]
@@ -373,6 +386,22 @@ def test_single_occurrence_keeps_height_accounting_on_corpus():
         # each extra occurrence adds exactly one inference on the (single) spine
         assert out.height == d.height + extra
         assert out.sequent == d.sequent
+
+
+def test_single_occurrence_splits_retained_context_replacement():
+    # rep keeps its context formula: the intermediate copy is weakened into
+    # the child first, then each step rewrites one occurrence
+    spec = PRESETS["RefRep"]
+    out = prove(seq("a = b, P(b, b) |- P(a, a)"), spec, SearchLimits())
+    assert isinstance(out, Proved)
+    d = out.derivation
+    assert any(nd.inst.rule is RuleId.REP and len(nd.inst.replacement.paths) == 2 for nd in d.nodes())
+    norm = tf.single_occurrence_normalize(d, spec)
+    assert check(norm, spec).valid
+    assert norm.sequent == d.sequent
+    assert norm.height == d.height + 1
+    reps = [nd for nd in norm.nodes() if nd.inst.rule is RuleId.REP]
+    assert len(reps) == 3 and all(len(nd.inst.replacement.paths) == 1 for nd in reps)
 
 
 # -- excluded-index elimination and semishortening
