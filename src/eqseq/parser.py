@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from collections import namedtuple
+from functools import lru_cache
 
 from .syntax import (
     And,
@@ -90,11 +91,16 @@ _NEWLINE = re.compile(r"\n")
 
 
 class _Lexer:
-    def __init__(self, text: str):
+    """The tokens of ``text``: all of them at once, or, when ``lazy``, those
+    :meth:`lex` is asked for."""
+
+    def __init__(self, text: str, lazy: bool = False):
         self.text = text
+        self.pos = 0  # where lexing goes on
         self._newlines: list[int] | None = None
         self.tokens: list[_Token] = []
-        self._run()
+        if not lazy:
+            self.lex(len(text) + 1)
 
     def span(self, start: int, end: int) -> SourceSpan:
         """``start``..``end`` with the line and column of ``start``, found by
@@ -104,10 +110,12 @@ class _Lexer:
         k = bisect_left(self._newlines, start)
         return SourceSpan(start, end, k + 1, start - (self._newlines[k - 1] if k else -1))
 
-    def _run(self) -> None:
+    def lex(self, want: int) -> bool:
+        """Reads on from ``pos`` until ``tokens`` holds ``want`` tokens or the
+        text ends; whether it holds them."""
         text, tokens, match = self.text, self.tokens, _TOKEN.match
-        pos, n = 0, len(text)
-        while pos < n:
+        pos, n = self.pos, len(text)
+        while pos < n and len(tokens) < want:
             m = match(text, pos)
             kind, end = m.lastgroup, m.end()
             if kind == "blank" or kind == "comment":
@@ -121,6 +129,8 @@ class _Lexer:
                 kind, end = self._other(pos)
             tokens.append((kind, text[pos:end], pos, end))
             pos = end
+        self.pos = pos
+        return len(tokens) >= want
 
     def _other(self, pos: int) -> tuple[str, int]:
         """Kind and end of the token at a character the regex leaves to
@@ -147,19 +157,17 @@ class _Parser:
     """Parser over the token stream; terms and formulas are read by loops.
 
     A single parser instance tracks function/predicate arities, so arity
-    consistency is enforced across one parse call (e.g. a whole ``.drv`` file).
-    ``formulas`` maps the text of each top-level sequent formula parsed so far
-    to its value; the sub-parsers of one ``.drv`` file share both.
+    consistency is enforced across one parse call (e.g. a whole ``.drv`` file);
+    the sub-parsers of one ``.drv`` file share them.
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, lazy: bool = False):
         self.text = text
-        self.lexer = _Lexer(text)
+        self.lexer = _Lexer(text, lazy)
         self.tokens = self.lexer.tokens
         self.i = 0
         self.fun_arity: dict[str, int] = {}
         self.pred_arity: dict[str, int] = {}
-        self.formulas: dict[str, Formula] = {}
 
     # -- token plumbing
 
@@ -173,7 +181,9 @@ class _Parser:
         return SourceSpan(0, 0, 1, 1)
 
     def peek(self) -> _Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+        if self.i < len(self.tokens) or self.lexer.lex(self.i + 1):
+            return self.tokens[self.i]
+        return None
 
     def next(self) -> _Token:
         tok = self.peek()
@@ -189,10 +199,10 @@ class _Parser:
         return tok
 
     def at(self, text: str) -> bool:
-        return self.i < len(self.tokens) and self.tokens[self.i][1] == text
+        return (self.i < len(self.tokens) or self.lexer.lex(self.i + 1)) and self.tokens[self.i][1] == text
 
     def done(self) -> bool:
-        return self.i >= len(self.tokens)
+        return self.peek() is None
 
     def items(self, read, sep: str = ",") -> list:
         """``read()``, and again after each ``sep``."""
@@ -331,40 +341,10 @@ class _Parser:
     # -- sequents
 
     def parse_sequent_body(self) -> Sequent:
-        ante = () if self.at("|-") else self.items(self._sequent_formula)
+        ante = () if self.at("|-") else self.items(self.formula)
         self.expect("|-")
-        succ = () if self.done() or self.at(")") else self.items(self._sequent_formula)
+        succ = () if self.done() or self.at(")") else self.items(self.formula)
         return Sequent(tuple(ante), tuple(succ))
-
-    def _sequent_formula(self) -> Formula:
-        """One formula of a sequent, which ends at the next ``,`` or ``|-``
-        outside parentheses.  Its text is parsed with no bound variables, so
-        equal text is an equal formula: a text parsed before is looked up in
-        ``formulas``, and only a text that parsed whole up to that end is
-        entered.  Every error therefore comes from a first occurrence."""
-        tokens, i = self.tokens, self.i
-        j, depth = i, 0
-        while j < len(tokens):
-            kind, text = tokens[j][0], tokens[j][1]
-            if kind == "punct":
-                if text == "(":
-                    depth += 1
-                elif text == ")":
-                    depth -= 1
-                elif depth == 0 and (text == "," or text == "|-"):
-                    break
-            j += 1
-        if j == i:
-            return self.formula()
-        key = self.text[tokens[i][2] : tokens[j - 1][3]]
-        f = self.formulas.get(key)
-        if f is not None:
-            self.i = j
-            return f
-        f = self.formula()
-        if self.i == j:
-            self.formulas[key] = f
-        return f
 
 
 def _rename_binders_apart(f: Formula) -> Formula:
@@ -424,6 +404,8 @@ def parse_formula(text: str) -> Formula:
 
 def parse_sequent(text: str) -> Sequent:
     s = _parse_all(text, _Parser.parse_sequent_body)
+    if "forall" not in text and "exists" not in text:
+        return s  # no binder to rename
     return Sequent(tuple(map(_rename_binders_apart, s.ante)), tuple(map(_rename_binders_apart, s.succ)))
 
 
@@ -478,15 +460,17 @@ _MAX_INDENT = 32
 def print_derivation(d: Derivation) -> str:
     """One node per line, indented two spaces a level up to
     :data:`_MAX_INDENT` levels; a node's ``)`` closes its last line, so a
-    leaf's line ends with one ``)`` for every node that the leaf finishes."""
+    leaf's line ends with one ``)`` for every node that the leaf finishes.
+    Each distinct formula is printed once."""
     lines = []
+    show = lru_cache(maxsize=None)(str)
     # (node, depth, how many enclosing nodes close after it), over an explicit
     # stack: a tall derivation would pass the recursion limit
     stack = [(d, 0, 0)]
     while stack:
         n, depth, closes = stack.pop()
         pad = "  " * min(depth, _MAX_INDENT)
-        head = f'{pad}({n.inst.rule.value} [{format_instance_args(n.inst)}] "{print_sequent(n.sequent)}"'
+        head = f'{pad}({n.inst.rule.value} [{format_instance_args(n.inst)}] "{print_sequent(n.sequent, show)}"'
         if not n.children:
             lines.append(head + ")" * (closes + 1))
             continue
@@ -497,12 +481,32 @@ def print_derivation(d: Derivation) -> str:
     return "\n".join(lines) + "\n"
 
 
+# ``(rule [args] "sequent"`` of one node and the ``)`` after it, where the
+# args hold no ``#`` outside their strings and the sequent holds none.  Each
+# repeat of ``_SKIP`` takes one blank or a whole comment: a miss backtracks linearly.
+_SKIP = r"(?:[ \t\r\n]|\#[^\n]*(?![^\n]))*"
+_NODE_HEAD = re.compile(
+    rf'{_SKIP}\({_SKIP}([A-Za-z][\w\'+]*){_SKIP}\[((?:[^\]"#]|"[^"]*")*)\]{_SKIP}"([^"#]*)"((?:{_SKIP}\))*)'
+)
+_INDICES = re.compile(r"[0-9;,. \t\r\n]*")
+
+
 class _DerivationParser(_Parser):
+    """Reads a ``.drv`` file head by head: one match of :data:`_NODE_HEAD`
+    per node, whose instance args and sequent formulas are looked up in
+    per-file tables by their text.  A text seen first, a head the match does
+    not cover and every error are read by tokens, which the lexer reads on
+    demand from the same offset."""
+
+    def __init__(self, text: str):
+        super().__init__(text, lazy=True)
+        self.formulas: dict[str, Formula] = {}  # the text of a sequent's formula -> it
+        self.instances: dict[tuple[str, str], RuleInstance] = {}  # (rule, args) -> instance
+
     def _sub(self, text: str) -> _Parser:
         sub = _Parser(text)
         sub.fun_arity = self.fun_arity
         sub.pred_arity = self.pred_arity
-        sub.formulas = self.formulas
         return sub
 
     def _take(self, kind: str, what: str) -> _Token:
@@ -581,22 +585,63 @@ class _DerivationParser(_Parser):
             got.get("split"),
         )
 
+    @staticmethod
+    def _index_args(rule: RuleId, body: str) -> RuleInstance | None:
+        """The instance of ``[body]`` when ``rule`` takes only indices and
+        paths and ``body`` holds only them, blanks and ``;,.``, read by
+        splitting it where its tokens split; None otherwise."""
+        sig = RULES[rule]
+        parts = body.split(";")
+        if len(parts) != len(sig.principal) + len(sig.fields) or not _INDICES.fullmatch(body):
+            return None
+        try:
+            if not sig.fields:
+                return RuleInstance(rule, tuple(map(int, parts)))
+            if sig.fields == ("eq_index", "context_index", "paths"):
+                paths = tuple(tuple(map(int, path.split("."))) for path in parts[2].split(","))
+                return RuleInstance(rule, (), Replacement(int(parts[0]), int(parts[1]), paths))
+        except ValueError:  # a part that is not one index
+            pass
+        return None
+
     def node(self) -> Derivation:
         # the open nodes, innermost last, each with the children read so far:
         # a tall derivation would pass the recursion limit
         open_nodes: list[tuple[Sequent, RuleInstance, list[Derivation]]] = []
         while True:
-            open_nodes.append((*self._node_head(), []))
-            while self.at(")"):
-                self.expect(")")
+            seq, inst, closes = self._node_head(len(open_nodes) + 1)
+            open_nodes.append((seq, inst, []))
+            for _ in range(closes):
                 seq, inst, children = open_nodes.pop()
                 done = Derivation(seq, inst, tuple(children))
                 if not open_nodes:
                     return done
                 open_nodes[-1][2].append(done)
 
-    def _node_head(self) -> tuple[Sequent, RuleInstance]:
-        """``(rule [args] "sequent"`` of one node."""
+    def _node_head(self, depth: int) -> tuple[Sequent, RuleInstance, int]:
+        """``(rule [args] "sequent"`` of one node and the ``)`` after it, at
+        most ``depth`` of them, with their count."""
+        i = self.i
+        start = self.tokens[i][2] if i < len(self.tokens) else self.lexer.pos
+        m = _NODE_HEAD.match(self.text, start)
+        if m and m[1] in RULE_BY_NAME:
+            key = m.group(1, 2)
+            inst = self.instances.get(key) or self._index_args(RULE_BY_NAME[m[1]], m[2])
+            if inst is None:  # read by tokens from the ``[`` on
+                self.lexer.pos = m.start(2) - 1
+                del self.tokens[i:]
+                inst = self.instance_args(RULE_BY_NAME[m[1]], ("ident", m[1], m.start(1), m.end(1)))
+            self.instances[key] = inst
+            seq = self._sequent(m[3])
+            closes = m[4].count(")")
+            if seq is not None and closes <= depth:
+                # the last token read stands in for all, for ``_eof_span``
+                end = self.lexer.pos = m.end()
+                self.tokens[i:] = [("punct", ")", end - 1, end) if closes else ("string", m[3], m.start(3) - 1, end)]
+                self.i = i + 1
+                return seq, inst, closes
+            self.i, self.lexer.pos = i, start
+            del self.tokens[i:]
         self.expect("(")
         tok = self.next()
         if tok[0] != "ident" or tok[1] not in RULE_BY_NAME:
@@ -610,11 +655,49 @@ class _DerivationParser(_Parser):
             sub.require_done()
         except ParseError as exc:  # an arity conflict stays one
             raise type(exc)(f"in sequent {string[1]!r}: {exc.message}", self._span(string)) from exc
-        return seq, inst
+        closes = 0
+        while closes < depth and self.at(")"):
+            self.expect(")")
+            closes += 1
+        return seq, inst, closes
+
+    def _sequent(self, text: str) -> Sequent | None:
+        """The sequent of a string without ``#``, split where its tokens
+        split (at ``|-``, and at ``,`` outside parentheses), each formula
+        looked up in ``formulas`` or read and entered; None where the split
+        or a reading fails."""
+        halves = text.split("|-")
+        sides = []
+        for half in halves if len(halves) == 2 else ():
+            pieces, depth = [], 0
+            for chunk in half.split(","):
+                pieces.append(pieces.pop() + "," + chunk if depth else chunk)
+                depth += chunk.count("(") - chunk.count(")")
+            keys = [piece.strip(" \t\r\n") for piece in pieces]
+            side = []
+            for key in keys if keys != [""] else ():  # else an empty side
+                f = self.formulas.get(key)
+                if f is None:
+                    try:
+                        sub = self._sub(key)
+                        f = sub.formula()
+                        sub.require_done()
+                    except ParseError:
+                        return None
+                    self.formulas[key] = f
+                side.append(f)
+            sides.append(tuple(side))
+        return Sequent(*sides) if sides else None
 
 
 def parse_derivation(text: str) -> Derivation:
     p = _DerivationParser(text)
-    d = p.node()
-    p.require_done()
+    try:
+        d = p.node()
+        p.require_done()
+    except ParseError:
+        # a lexing error anywhere in the file is the file's error, wherever
+        # the parse stopped
+        p.lexer.lex(len(text) + 1)
+        raise
     return d

@@ -572,9 +572,10 @@ class Sequent(Record):
             h = self.__dict__["_hash"] = hash(self._multisets())
         return h
 
-    def __str__(self) -> str:
-        """``A1, ..., Am |- B1, ..., Bn`` in the parser's syntax."""
-        return f"{', '.join(map(str, self.ante))} |- {', '.join(map(str, self.succ))}".strip()
+    def __str__(self, show=str) -> str:
+        """``A1, ..., Am |- B1, ..., Bn`` in the parser's syntax, each formula
+        as ``show`` prints it."""
+        return f"{', '.join(map(show, self.ante))} |- {', '.join(map(show, self.succ))}".strip()
 
     def params(self) -> set[str]:
         out: set[str] = set()

@@ -7,6 +7,7 @@ checker-valid by construction.
 from __future__ import annotations
 
 import random
+import re
 
 from eqseq.calculus import (
     CalculusSpec,
@@ -305,3 +306,31 @@ def criterion_7_corpus() -> list[Sequent]:
     while len(corpus) < 18:
         corpus.append(random_function_free_sequent(rng, n_params=4, n_eqs=3, n_atoms=1))
     return corpus
+
+
+# text spliced into inputs by mutate_text
+SNIPPETS = [
+    "(", ")", ",", "&", "|", "->", "|-", "=", "forall x. ", "exists y. ", "bot", "f(", "a", "P(", "0", "7",
+    ";", "[", "]", '"', "_e1", "\u00e9", "\n",
+]
+
+
+def mutate_text(rng, text):
+    """``text`` with one or two seeded edits: a character deleted, a snippet
+    inserted, a slice repeated, or an index or a parameter changed in place
+    (which keeps more inputs parsable)."""
+    for _ in range(rng.randint(1, 2)):
+        k = rng.randrange(len(text) + 1)
+        edit = rng.randrange(5)
+        if edit == 0:
+            text = text[:k] + text[k + 1 :]
+        elif edit == 1:
+            text = text[:k] + rng.choice(SNIPPETS) + text[k:]
+        elif edit == 2:
+            text = text[:k] + text[k : k + rng.randint(1, 12)] + text[k:]
+        else:
+            spots = [m.start() for m in re.finditer(r"[0-9]" if edit == 3 else r"\b[a-e]\b", text)]
+            if spots:
+                k = rng.choice(spots)
+                text = text[:k] + rng.choice("0123" if edit == 3 else "abcde") + text[k + 1 :]
+    return text

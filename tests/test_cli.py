@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from corpus import eq_spine, valid_spine
+from corpus import eq_spine, mutate_text, valid_spine
 from eqseq.cli import _TRANSFORMS, run
 from eqseq.checker import check
 from eqseq.parser import parse_derivation, parse_sequent, print_derivation, print_sequent
@@ -234,11 +234,6 @@ def test_reports_print_compound_formulas(tmp_path, capsys):
     ) in out
 
 
-# text spliced into inputs by the contract test
-_SNIPPETS = [
-    "(", ")", ",", "&", "|", "->", "|-", "=", "forall x. ", "exists y. ", "bot", "f(", "a", "P(", "0", "7",
-    ";", "[", "]", '"', "_e1", "\u00e9", "\n",
-]
 _DEFECT = re.compile(r"^error: [A-Z]\w*: ", re.M)  # cli.run's line for an uncaught exception
 
 
@@ -248,27 +243,6 @@ TRANSFORM_ARGS = {
     "project": ["--preset", "R12rl"],
     "translate": ["--source", "R12r", "--target", "R12rl"],
 }
-
-
-def _mutate(rng, text):
-    """``text`` with one or two seeded edits: a character deleted, a snippet
-    inserted, a slice repeated, or an index or a parameter changed in place
-    (which keeps more inputs parsable)."""
-    for _ in range(rng.randint(1, 2)):
-        k = rng.randrange(len(text) + 1)
-        edit = rng.randrange(5)
-        if edit == 0:
-            text = text[:k] + text[k + 1 :]
-        elif edit == 1:
-            text = text[:k] + rng.choice(_SNIPPETS) + text[k:]
-        elif edit == 2:
-            text = text[:k] + text[k : k + rng.randint(1, 12)] + text[k:]
-        else:
-            spots = [m.start() for m in re.finditer(r"[0-9]" if edit == 3 else r"\b[a-e]\b", text)]
-            if spots:
-                k = rng.choice(spots)
-                text = text[:k] + rng.choice("0123" if edit == 3 else "abcde") + text[k + 1 :]
-    return text
 
 
 def test_mutated_inputs_get_a_verdict_or_a_message(tmp_path, capsys):
@@ -283,7 +257,7 @@ def test_mutated_inputs_get_a_verdict_or_a_message(tmp_path, capsys):
         text = path.read_text(encoding="utf-8")
         spec = re.search(r"^# check: (.*)$", text, re.M).group(1)
         drv = tmp_path / f"m{k}.drv"
-        drv.write_text(_mutate(rng, text), encoding="utf-8")
+        drv.write_text(mutate_text(rng, text), encoding="utf-8")
         runs.append(["check", str(drv), "--spec" if "=" in spec else "--preset", spec])
         if k % 3 == 0:
             op = rng.choice(sorted(_TRANSFORMS))
@@ -305,7 +279,7 @@ def test_mutated_inputs_get_a_verdict_or_a_message(tmp_path, capsys):
     bounds = ["--depth", "2", "--term-height", "2"]
     for k in range(90):
         goal = sequents[k % len(sequents)]
-        runs.append(["prove", _mutate(rng, goal), "--preset", rng.choice(["R12r", "G3cR12r", "G3i", "CngCut"]), *bounds])
+        runs.append(["prove", mutate_text(rng, goal), "--preset", rng.choice(["R12r", "G3cR12r", "G3i", "CngCut"]), *bounds])
     defects = []
     for argv in runs:
         code, out, err = invoke(capsys, *argv)

@@ -1,4 +1,5 @@
 import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -444,10 +445,11 @@ _sides = st.lists(st.sampled_from(_SEQUENT_FORMULAS), max_size=3)
 def test_formula_table_changes_no_result(sequents):
     from unittest import mock
 
-    from eqseq.parser import _Parser
+    from eqseq.parser import _DerivationParser
 
     text = _drv_text(sequents)
-    with mock.patch.object(_Parser, "_sequent_formula", lambda self: self.formula()):
+    # with the split turned off, every sequent is read by tokens, without the table
+    with mock.patch.object(_DerivationParser, "_sequent", lambda self, text: None):
         want = _parsed(text)
     assert _parsed(text) == want
 
@@ -459,3 +461,101 @@ def test_formula_table_shares_repeated_formulas():
     with pytest.raises(ParseError) as err:
         parse_derivation('(land [0] "P(a), f(a) = b |- P(a)"\n  (init [0;0] "P(a, b), f(a) = b |- P(a)"))\n')
     assert "arity-conflict: predicate P used with 2 args, earlier 1" in err.value.message
+
+
+# -- the head-match derivation reader against the token-level reference
+
+
+def _read(parse, text):
+    """The derivation and its printed text, or the error's class, message and span."""
+    try:
+        d = parse(text)
+    except ParseError as exc:
+        return type(exc), exc.message, exc.span
+    return d, print_derivation(d)
+
+
+def _reshape(rng, text):
+    """``text`` with one edit the head match does not cover, or covers
+    differently: a comment, a ``#`` in a string, or other blanks."""
+    edit = rng.randrange(5)
+    if edit == 0:  # a comment where a blank was, holding a quote or a paren
+        spots = [m.start() for m in re.finditer(r"[ \n]", text)] or [0]
+        k = rng.choice(spots)
+        return text[:k] + rng.choice([' # a "note (', " #)", "#"]) + "\n" + text[k:]
+    if edit == 1:  # a ``#`` inside a sequent or quoted-argument string
+        spots = [m.start() + 1 for m in re.finditer(r'"[^"]', text)] or [0]
+        k = rng.choice(spots)
+        return text[:k] + rng.choice(["#", "# x", "#)"]) + text[k:]
+    if edit == 2:  # each blank run becomes another one
+        return re.sub(r"[ \t\r\n]+", lambda m: rng.choice([" ", "\t", "\r\n", "  \n\t", ""]) if rng.random() < 0.3 else m[0], text)
+    if edit == 3:  # blanks around the separators of args, paths and formulas
+        return re.sub(r"[;,.]", lambda m: rng.choice(["", " ", "\n"]) + m[0] + rng.choice(["", " ", "\t"]), text)
+    # every blank run around a paren, bracket or quote goes
+    return re.sub(r'[ \t\r\n]*([()\[\]"])[ \t\r\n]*', r"\1", text) if rng.random() < 0.5 else text.replace(" ", "   ")
+
+
+def _differential_inputs():
+    import random
+
+    from corpus import grow, mutate_text
+    from eqseq.calculus import PRESETS, RuleId
+
+    texts = [path.read_text(encoding="utf-8") for path in sorted(GOLDEN.glob("*.drv"))]
+    rng = random.Random(24)
+    spec = PRESETS["R12rl"].with_rules(RuleId.CUT, RuleId.LC, RuleId.LW)
+    texts += [print_derivation(grow(rng, spec, depth=rng.randint(1, 8), allow_cut=True)) for _ in range(40)]
+    # index args that split like their tokens, and ones that only seem to
+    odd = ["0;0;1,", "0;0;,1", "0;0;1..0", "0;0;1_0", " 0 ;0;\n1 . 0 , 1", "0;0", "0;0;1;2", "0;;1", "0;0;", "0 0;0;1", "00;0;1.0.0"]
+    for args in odd:
+        for leaf in ("0;0", " 1 ;0", "0;", "0,1;0", "0_1;0", "1;0 "):
+            texts.append(f'(rep2r [{args}] "a = b |- P(a)"\n  (init [{leaf}] "a = b |- P(b)"))\n')
+    whole = list(texts)
+    for k in range(600):
+        text = whole[k % len(whole)]
+        texts.append(mutate_text(rng, text) if k % 2 else _reshape(rng, text))
+        if k % 5 == 0:
+            texts.append(_reshape(rng, mutate_text(rng, text)))
+    return texts
+
+
+def test_derivation_reader_matches_token_reference():
+    from drv_reference import reference_derivation
+
+    read = errors = 0
+    for text in _differential_inputs():
+        want = _read(reference_derivation, text)
+        got = _read(parse_derivation, text)
+        assert got == want, text
+        errors += isinstance(want[0], type)
+        read += not isinstance(want[0], type)
+    # both outcomes are exercised
+    assert read > 200 and errors > 200, (read, errors)
+
+
+def test_derivation_reader_lexes_each_text_once():
+    # one lexer for the file, then one per distinct formula text and per
+    # distinct quoted-argument text, each read the first time it appears
+    from unittest import mock
+
+    from eqseq import parser
+
+    made = []
+    real_init = parser._Lexer.__init__
+
+    def counting_init(self, *args, **kw):
+        made.append(args[0])
+        real_init(self, *args, **kw)
+
+    for path in sorted(GOLDEN.glob("*.drv")):
+        text = path.read_text(encoding="utf-8")
+        made.clear()
+        with mock.patch.object(parser._Lexer, "__init__", counting_init):
+            d = parse_derivation(text)
+        nodes, formulas = [d], set()
+        while nodes:
+            n = nodes.pop()
+            nodes += n.children
+            formulas |= {print_formula(f) for f in n.sequent.all_formulas()}
+        quoted = set(re.findall(r'"([^"]*)"', "".join(re.findall(r"\[[^\]]*\]", text))))
+        assert len(made) <= 1 + len(formulas) + len(quoted), (path.name, made)
