@@ -10,6 +10,7 @@ parse errors.  Defaults may be supplied by a ``key = value`` config file
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -309,9 +310,15 @@ def _cmd_presets(args, cfg) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="eqseq", description=__doc__)
+    # argparse makes a formatter for every argument added and every text
+    # printed, and each asks for the terminal's width: ask once per parser
+    import shutil  # here, as argparse does: a cold ``import eqseq.cli`` need not load it
+
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    top = argparse.ArgumentParser(prog="eqseq", description=__doc__, formatter_class=formatter)
     top.add_argument("--config", help="key = value defaults file (default ./eqseq.toml)")
     sub = top.add_subparsers(dest="command", required=True)
+    command = functools.partial(sub.add_parser, formatter_class=formatter)
 
     def common(p, spec_opts=True, limit_opts=False):
         p.add_argument("--json", action="store_true", help="machine block as JSON")
@@ -324,24 +331,24 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--budget", type=int, help="total node expansion cap")
             p.add_argument("--universe-file", help="file of terms, one per line")
 
-    p = sub.add_parser("check", help="verify a .drv derivation file")
+    p = command("check", help="verify a .drv derivation file")
     p.add_argument("drv")
     common(p)
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("prove", help="bounded backward proof search")
+    p = command("prove", help="bounded backward proof search")
     p.add_argument("sequent")
     common(p, limit_opts=True)
     p.add_argument("-o", "--out", help="write the found derivation here")
     p.set_defaults(func=_cmd_prove)
 
-    p = sub.add_parser("decide", help="exact decision for function-free atomic sequents")
+    p = command("decide", help="exact decision for function-free atomic sequents")
     p.add_argument("sequent")
     common(p, spec_opts=False)
     p.add_argument("-o", "--out", help="write the oriented witness derivation here")
     p.set_defaults(func=_cmd_decide)
 
-    p = sub.add_parser("transform", help="apply a proof transformation to a .drv file")
+    p = command("transform", help="apply a proof transformation to a .drv file")
     p.add_argument("drv")
     p.add_argument("op", choices=sorted(_TRANSFORMS))
     common(p)
@@ -351,14 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", help="write the transformed derivation here")
     p.set_defaults(func=_cmd_transform)
 
-    p = sub.add_parser("compare", help="prove a corpus under two calculi and tabulate")
+    p = command("compare", help="prove a corpus under two calculi and tabulate")
     p.add_argument("corpus", help=".seq file, one sequent per line")
     p.add_argument("preset_a")
     p.add_argument("preset_b")
     common(p, spec_opts=False, limit_opts=True)
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("presets", help="list the named calculus presets")
+    p = command("presets", help="list the named calculus presets")
     common(p, spec_opts=False)
     p.set_defaults(func=_cmd_presets)
 

@@ -517,7 +517,10 @@ class _DerivationParser(_Parser):
         return tok
 
     def _int(self) -> int:
-        return int(self._take("int", "an index")[1])
+        tok = self._take("int", "an index")
+        if not tok[1].isdecimal():  # a digit such as '²' that ``int`` rejects
+            raise ParseError(f"expected an index, found {tok[1]!r}", self._span(tok))
+        return int(tok[1])
 
     def _index_csv(self) -> tuple[int, ...]:
         return () if self.at(";") or self.at("]") else tuple(self.items(self._int))

@@ -414,6 +414,28 @@ def test_non_ascii_tokens():
     assert (err.value.span.line, err.value.span.column) == (2, 2)
 
 
+
+@pytest.mark.parametrize(
+    "text, message, span",
+    [
+        ('(init [²;0] "P |- P")', "expected an index, found '²'", (7, 8, 1, 8)),
+        ('(init [0;1²] "P |- P")', "expected an index, found '1²'", (9, 11, 1, 10)),
+        ('(rep2r [²;0;0] "a = b |- a = a")', "expected an index, found '²'", (8, 9, 1, 9)),
+        ('(rep2r [0;0;0.²] "a = b |- a = a")', "expected an index, found '²'", (14, 15, 1, 15)),
+        ('(rep2r [0;0;0,²] "a = b |- a = a")', "expected an index, found '²'", (14, 15, 1, 15)),
+    ],
+)
+def test_non_decimal_digit_index(text, message, span):
+    # '²' is a digit to ``str.isdigit`` but not an int: a parse error at it
+    from drv_reference import reference_derivation
+
+    for read in (parse_derivation, reference_derivation):
+        with pytest.raises(ParseError) as err:
+            read(text)
+        s = err.value.span
+        assert (err.value.message, (s.start, s.end, s.line, s.column)) == (message, span), read
+
+
 # -- the per-file formula table
 
 _SEQUENT_FORMULAS = [
