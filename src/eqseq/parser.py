@@ -518,7 +518,7 @@ class _DerivationParser(_Parser):
 
     def _int(self) -> int:
         tok = self._take("int", "an index")
-        if not tok[1].isdecimal():  # a digit such as '²' that ``int`` rejects
+        if not tok[1].isascii():  # an isdigit token: ASCII digits, not '²' or '٠'
             raise ParseError(f"expected an index, found {tok[1]!r}", self._span(tok))
         return int(tok[1])
 

@@ -620,46 +620,49 @@ class ExactResult(namedtuple("ExactResult", "decided derivable states")):
 
 
 def exact_decide(goal: Sequent, spec: CalculusSpec, lim: SearchLimits) -> ExactResult:
-    """Exact derivability on finite backward state spaces.
-
-    Explores the backward-reachable sequents (complete relative to the
-    universe bound) and marks derivability as a least fixpoint.  ``decided``
-    is False when the budget was hit, in which case nothing is claimed.
-    """
+    """Exact derivability on finite backward state spaces, in one breadth-first
+    pass over the backward-reachable sequents (complete relative to the
+    universe bound).  Each move waits on its unmarked premisses; a move with
+    none left marks its conclusion, and the mark propagates to the moves
+    waiting on it (Dowling & Gallier 1984).  So the goal is derivable once
+    marked, even in a space larger than the budget, and underivable when the
+    frontier empties first.  ``decided`` is False when the budget was hit
+    before either, and then nothing is claimed."""
     universe = lim.universe if lim.universe is not None else default_universe(goal, lim.term_height)
     pool = MovePool()
     goal = pool.share(goal)
     multiset = pool.multiset
-    # the premisses' multiset numbers of each move, by the multiset of the expanded sequent
-    seen: dict[int, list[list[int]]] = {}
+    # (conclusion, its unmarked premisses) of each move, by the multiset numbers it waits on
+    waiting: dict[int, list[tuple[int, set[int]]]] = {}
+    expanded: set[int] = set()
+    marked: set[int] = set()
     frontier = deque([goal])
-    states = 0
-    while frontier:
+    while frontier and multiset(goal) not in marked:
         seq = frontier.popleft()
         mset = multiset(seq)
-        if mset in seen:
+        if mset in expanded:
             continue
-        states += 1
-        if states > lim.node_budget:
-            return ExactResult(False, False, states)
-        alts: list[list[int]] = []
+        expanded.add(mset)
+        if len(expanded) > lim.node_budget:
+            return ExactResult(False, False, len(expanded))
+        newly = []
         for _, premisses in expansions(seq, spec, universe, pool):
-            alts.append([multiset(p) for p in premisses])
-            frontier.extend(p for p in premisses if multiset(p) not in seen)
-        seen[mset] = alts
-    marked: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for mset, alts in seen.items():
-            if mset in marked:
-                continue
-            for premisses in alts:
-                if all(p in marked for p in premisses):
-                    marked.add(mset)
-                    changed = True
-                    break
-    return ExactResult(True, multiset(goal) in marked, states)
+            unmarked = {multiset(p) for p in premisses} - marked
+            if not unmarked:
+                newly.append(mset)
+                break
+            for p in unmarked:
+                waiting.setdefault(p, []).append((mset, unmarked))
+            frontier.extend(p for p in premisses if multiset(p) not in expanded)
+        while newly:
+            mset = newly.pop()
+            if mset not in marked:
+                marked.add(mset)
+                for conclusion, unmarked in waiting.pop(mset, ()):
+                    unmarked.discard(mset)
+                    if not unmarked:
+                        newly.append(conclusion)
+    return ExactResult(True, multiset(goal) in marked, len(expanded))
 
 
 # ---------------------------------------------------------------------------

@@ -740,8 +740,8 @@ def _emit_left_step(
 
 
 def _fragment_ok(d: Derivation, tools: CalculusSpec) -> bool:
-    """Validate a template fragment shallowly: every node must be a legal
-    inference of the target-plus calculus (children were validated earlier)."""
+    """Validate a template fragment with a full ``check`` of its whole
+    subtree: every node must be a legal inference of the target-plus calculus."""
     return check(d, tools).valid
 
 

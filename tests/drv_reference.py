@@ -69,7 +69,7 @@ class _ReferenceDerivationParser(_ReferenceParser):
 
     def _int(self):
         tok = self._take("int", "an index")
-        if not tok[1].isdecimal():  # a digit such as '²' that ``int`` rejects
+        if not tok[1].isascii():  # an isdigit token: ASCII digits, not '²' or '٠'
             raise ParseError(f"expected an index, found {tok[1]!r}", self._span(tok))
         return int(tok[1])
 

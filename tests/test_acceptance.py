@@ -167,12 +167,11 @@ def test_criterion_4_function_free_equivalence():
             witness = tf.orient_function_free(goal)
             if not check(witness, PRESETS["R2rl"]).valid or witness.sequent != goal:
                 disagreements += 1
-        else:
-            exact = exact_decide(goal, PRESETS["R2rl"], SearchLimits(node_budget=50_000))
-            if not exact.decided:
-                inconclusive += 1
-            elif exact.derivable:
-                disagreements += 1
+        exact = exact_decide(goal, PRESETS["R2rl"], SearchLimits(node_budget=50_000))
+        if not exact.decided:
+            inconclusive += 1
+        elif exact.derivable != derivable:
+            disagreements += 1
     elapsed = time.monotonic() - t0
     ok = disagreements == 0 and inconclusive == 0 and elapsed < 120
     _report(

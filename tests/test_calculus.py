@@ -177,6 +177,9 @@ def test_orientation_flag():
     concl2 = seq("f(a)=a |- Q(f(a))")
     (prem,) = premisses_of(concl2, repl_inst(RuleId.REP2R, 0, 0, [(0,)]), spec)
     assert prem == seq("f(a)=a |- Q(a)")
+    # index 2 must be nonlengthening: operating a=f(a) is lengthening
+    with pytest.raises(OrientationViolationError, match="index-2 instance on a = f\\(a\\) is lengthening"):
+        premisses_of(seq("a=f(a) |- Q(a)"), repl_inst(RuleId.REP2R, 0, 0, [(0,)]), spec)
 
 
 def test_right_hand_only_flag():
@@ -415,6 +418,15 @@ GENERATOR_SPECS = [PRESETS[name] for name in EQUIVALENT_PRESETS + ["CngCut", "Eq
 ]
 
 
+def _occurrence_sets(ctx, frm):
+    """The nonempty nonoverlapping sets of ``frm``'s occurrences in ``ctx``.  A
+    non-atomic ``ctx`` has no term positions: it gets one made-up path, which
+    the kernel must reject."""
+    if isinstance(ctx, (Atom, Eq)):
+        return _nonempty_nonoverlapping_subsets(occurrences(ctx, frm))
+    return [((0,),)]
+
+
 def _candidates(goal, spec, universe):
     """Every candidate instance in the generator's order, legal or not, with
     every context split."""
@@ -454,20 +466,20 @@ def _candidates(goal, spec, universe):
         for rule in [RuleId(r) for r in ("rep1r", "rep2r", "eq1", "eq2")]:
             frm = op.rhs if rule in (RuleId.REP1R, RuleId.EQ1) else op.lhs
             for j, ctx in enumerate(succ):
-                for paths in _nonempty_nonoverlapping_subsets(occurrences(ctx, frm)):
+                for paths in _occurrence_sets(ctx, frm):
                     yield repl_inst(rule, e, j, paths)
         for rule in [RuleId(r) for r in ("rep1l", "rep2l", "rep", "repp", "rep1lp", "rep2lp")]:
             frm = op.rhs if rule in (RuleId.REP1L, RuleId.REPP, RuleId.REP1LP) else op.lhs
             for i, ctx in enumerate(ante):
                 if i != e:
-                    for paths in _nonempty_nonoverlapping_subsets(occurrences(ctx, frm)):
+                    for paths in _occurrence_sets(ctx, frm):
                         yield repl_inst(rule, e, i, paths)
     for j, ctx in enumerate(succ):
-        ctx_terms = sorted(
-            {t for s in _top_terms(ctx) for t in subterms(s)}, key=lambda t: (term_height(t), str(t))
-        )
+        # a non-atomic context gets one made-up term, to go with _occurrence_sets' made-up path
+        top = _top_terms(ctx) if isinstance(ctx, (Atom, Eq)) else terms_[:1]
+        ctx_terms = sorted({t for s in top for t in subterms(s)}, key=lambda t: (term_height(t), str(t)))
         for s_term in ctx_terms:
-            for paths in _nonempty_nonoverlapping_subsets(occurrences(ctx, s_term)):
+            for paths in _occurrence_sets(ctx, s_term):
                 for r_term in terms_:
                     for a1 in _subsets(len(ante)):
                         for s1 in _subsets(len(succ)):
@@ -508,7 +520,11 @@ def _ordered(moves):
 
 
 def test_expansions_are_the_moves_the_kernel_accepts():
-    several = [seq("a=b, P(a), a=b |- Q(b), P(b), a=b"), seq("f(a)=b, P(b) |- P(f(a)), a=a")]
+    several = [
+        seq("a=b, P(a), a=b |- Q(b), P(b), a=b"),
+        seq("f(a)=b, P(b) |- P(f(a)), a=a"),
+        seq("a=b |- P(a) & Q(a), P(b)"),  # a non-atomic succedent context is no replacement context
+    ]
     for goal in criterion_7_corpus() + several:
         universe = default_universe(goal, 1)
         for spec in GENERATOR_SPECS:

@@ -237,9 +237,10 @@ def test_reports_print_compound_formulas(tmp_path, capsys):
 
 def test_check_non_decimal_digit_index_is_a_parse_error(tmp_path, capsys):
     drv = tmp_path / "sup.drv"
-    drv.write_text('(init [²;0] "P |- P")\n', encoding="utf-8")
-    code, out, err = invoke(capsys, "check", str(drv), "--preset", "G3c")
-    assert (code, out, err) == (2, "", "error: expected an index, found '²' at line 1, column 8\n")
+    for digit in "²٠":
+        drv.write_text(f'(init [{digit};0] "P |- P")\n', encoding="utf-8")
+        code, out, err = invoke(capsys, "check", str(drv), "--preset", "G3c")
+        assert (code, out, err) == (2, "", f"error: expected an index, found '{digit}' at line 1, column 8\n")
 
 _DEFECT = re.compile(r"^error: [A-Z]\w*: ", re.M)  # cli.run's line for an uncaught exception
 

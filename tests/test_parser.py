@@ -419,6 +419,7 @@ def test_non_ascii_tokens():
     "text, message, span",
     [
         ('(init [²;0] "P |- P")', "expected an index, found '²'", (7, 8, 1, 8)),
+        ('(init [٠;0] "P |- P")', "expected an index, found '٠'", (7, 8, 1, 8)),
         ('(init [0;1²] "P |- P")', "expected an index, found '1²'", (9, 11, 1, 10)),
         ('(rep2r [²;0;0] "a = b |- a = a")', "expected an index, found '²'", (8, 9, 1, 9)),
         ('(rep2r [0;0;0.²] "a = b |- a = a")', "expected an index, found '²'", (14, 15, 1, 15)),
@@ -426,7 +427,8 @@ def test_non_ascii_tokens():
     ],
 )
 def test_non_decimal_digit_index(text, message, span):
-    # '²' is a digit to ``str.isdigit`` but not an int: a parse error at it
+    # '²' is a digit to ``str.isdigit`` but not an int, and '٠' an int the
+    # printer never writes: a parse error at either
     from drv_reference import reference_derivation
 
     for read in (parse_derivation, reference_derivation):

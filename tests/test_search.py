@@ -294,6 +294,31 @@ def test_exact_decide_matches_decision_procedure():
         assert exact.derivable == isinstance(verdict, WitnessPlan), str(goal)
 
 
+def test_exact_decide_marks_a_derivable_goal_before_its_space_is_explored():
+    # closed by init: marked on expansion, the rest of its 1,152 states unexplored
+    goal = seq("p0 = p1, p0 = p1, p0 = p0, p0 = p0, Q(p1), R(p0, p0), Q(p0) |- R(p0, p0)")
+    assert exact_decide(goal, R2rl, SearchLimits(node_budget=50_000)) == (True, True, 1)
+    # their spaces are larger than the budget
+    for text, name in [("a=c, b=c |- a=b", "R12rlPlus"), ("b=a |- a=b", "RefRep")]:
+        exact = exact_decide(seq(text), PRESETS[name], SearchLimits(node_budget=2000))
+        assert exact.decided and exact.derivable, (text, name)
+
+
+@pytest.mark.parametrize(
+    "name, at_least", [("R12rl", 18), ("R2rl", 18), ("CngLCeq", 15), ("RefRep", 11), ("RefRep2L", 11)]
+)
+def test_exact_decide_on_criterion_7_agrees_with_the_decision_procedure(name, at_least):
+    decided = 0
+    for goal in criterion_7_corpus():
+        exact = exact_decide(goal, PRESETS[name], SearchLimits(term_height=1, node_budget=60))
+        if exact.decided:
+            decided += 1
+            assert exact.derivable == isinstance(decide_function_free(goal), WitnessPlan), str(goal)
+        else:
+            assert exact == (False, False, 61)  # stopped at the first state over the budget
+    assert decided >= at_least
+
+
 def test_proved_derivations_always_check():
     rng = random.Random(6)
     for _ in range(25):
