@@ -1,10 +1,12 @@
 """Bounded backward proof search, forward saturation, and the exact decision
 procedure for function-free atomic sequents via congruence chains.
 
-The forward appliers here implement the rules premiss-to-conclusion and are
-written independently of :func:`eqseq.calculus.premisses_of`, so saturation
-can serve as a brute-force oracle against both the backward search and the
-chain decision procedure.
+The forward rules here run premiss to conclusion and call neither
+:func:`eqseq.calculus.premisses_of` nor :func:`eqseq.calculus.expansions`:
+the replacement step takes only each rule's index, retention and side from
+``RULES`` and applies them itself.  So saturation, which covers the unflagged
+specs with base ``none``, can serve as a brute-force oracle against both the
+backward search and the chain decision procedure.
 """
 from __future__ import annotations
 
@@ -245,37 +247,17 @@ DEFAULT_HOOKS: tuple[ShapeHook, ...] = (S1_HOOK, S2_HOOK, IDENTITY_HOOK)
 # Backward search
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self) -> bool:
-        self.used += 1
-        return self.used <= self.limit
-
-
-def prove(
-    goal: Sequent,
-    spec: CalculusSpec,
-    lim: SearchLimits = SearchLimits(),
-    hooks: tuple[ShapeHook, ...] = DEFAULT_HOOKS,
-) -> SearchOutcome:
+def prove(goal: Sequent, spec: CalculusSpec, lim: SearchLimits = SearchLimits()) -> SearchOutcome:
     """:func:`bounded_search`, except that a function-free atomic goal with a
     countermodel (:func:`refuted_by_countermodel`) comes back
     ``DecidedUnderivable(COUNTERMODEL)`` without a search, unless a shape
     hook decides it first."""
-    if refuted_by_countermodel(goal) and not any(h.covers(spec) and h.matches(goal) for h in hooks):
+    if refuted_by_countermodel(goal) and not any(h.covers(spec) and h.matches(goal) for h in DEFAULT_HOOKS):
         return DecidedUnderivable(COUNTERMODEL)
-    return bounded_search(goal, spec, lim, hooks)
+    return bounded_search(goal, spec, lim)
 
 
-def bounded_search(
-    goal: Sequent,
-    spec: CalculusSpec,
-    lim: SearchLimits = SearchLimits(),
-    hooks: tuple[ShapeHook, ...] = DEFAULT_HOOKS,
-) -> SearchOutcome:
+def bounded_search(goal: Sequent, spec: CalculusSpec, lim: SearchLimits = SearchLimits()) -> SearchOutcome:
     """Depth-bounded backward search.
 
     ``Proved`` outcomes carry a derivation that the checker validates;
@@ -283,12 +265,11 @@ def bounded_search(
     beyond them).  Registered shape hooks let structurally closed goals come
     back ``DecidedUnderivable`` without exhausting the bounds.
     """
-    active_hooks = tuple(h for h in hooks if h.covers(spec))
+    active_hooks = tuple(h for h in DEFAULT_HOOKS if h.covers(spec))
     for h in active_hooks:
         if h.matches(goal):
             return DecidedUnderivable(h.name)
     universe = lim.universe if lim.universe is not None else default_universe(goal, lim.term_height)
-    budget = _Budget(lim.node_budget)
     # memos by multiset: pooled sequents equal as multisets share a number
     proved: dict[int, Derivation] = {}
     # moves of each expanded sequent, shared by all deepening bounds
@@ -297,12 +278,13 @@ def bounded_search(
     goal = pool.share(goal)
     multiset = pool.multiset
     budget_hit = False
-    memo_peak = 0
+    used = memo_peak = 0
 
     def search(seq: Sequent, mset: int, depth: int, failed: dict[int, int]) -> Derivation | None:
         """Expand ``seq``; the caller found no memoized answer for it at ``depth``."""
-        nonlocal budget_hit
-        if not budget.spend():
+        nonlocal budget_hit, used
+        used += 1
+        if used > lim.node_budget:
             budget_hit = True
             return None
         for h in active_hooks:
@@ -350,72 +332,50 @@ def bounded_search(
             return Proved(found)
         if budget_hit:
             break
-    return Exhausted(expansions=budget.used, memo_size=memo_peak, budget_exceeded=budget_hit)
+    return Exhausted(expansions=used, memo_size=memo_peak, budget_exceeded=budget_hit)
 
 
 # ---------------------------------------------------------------------------
 # Forward rule application (independent of premisses_of)
 
 
-def _forward_right_rewrites(seq: Sequent, rule: RuleId) -> list[Sequent]:
-    """Conclusions of one succedent replacement step applied to ``seq``."""
-    idx, keeps = RULES[rule].index, RULES[rule].retention == "keep"
+def _rewrites(f: Formula, frm: Term, to: Term) -> list[Formula]:
+    """``f`` with each nonempty set of nonoverlapping occurrences of ``frm``
+    replaced by ``to``; none when ``f`` is not atomic."""
+    occ = occurrences(f, frm) if is_atomic(f) else []
+    return [replace_at(f, set(paths), frm, to) for paths in _nonempty_nonoverlapping_subsets(occ)]
+
+
+def _forward_replacements(seq: Sequent, rule: RuleId, atom_pool: list[Formula]) -> list[Sequent]:
+    """Conclusions of one forward step of the replacement rule ``rule`` from
+    the premiss ``seq``: in one context formula on the rule's side, some
+    occurrences of the premiss-side term go back to the conclusion-side term
+    (``RuleSig.terms``).  A strict succedent rule (=1/=2) takes its operating
+    equality from the atom pool and adds it to the antecedent; the others
+    take it from the premiss.  An antecedent rule that keeps its context
+    (``RuleSig.keeps_context``) drops the rewritten copy instead, when the
+    context it came from is in the premiss too."""
+    sig = RULES[rule]
+    ante, succ = seq.ante, seq.succ
+    intro = sig.context_side == "s" and sig.retention == "strict"
     out: list[Sequent] = []
-    for e_i, op in enumerate(seq.ante):
+    for e, op in enumerate(atom_pool if intro else ante):
         if not isinstance(op, Eq):
             continue
-        frm, to = (op.lhs, op.rhs) if idx == 1 else (op.rhs, op.lhs)  # forward direction
-        for j, ctx in enumerate(seq.succ):
-            if not is_atomic(ctx):
-                continue
-            for paths in _nonempty_nonoverlapping_subsets(occurrences(ctx, frm)):
-                new = replace_at(ctx, set(paths), frm, to)
-                ante = seq.ante if keeps else remove_at(seq.ante, e_i)
-                out.append(Sequent(ante, replace_formula(seq.succ, j, new)))
-    return out
-
-
-def _forward_eq_intro(seq: Sequent, rule: RuleId, atom_pool: list[Formula]) -> list[Sequent]:
-    """=1/=2 forward: rewrite one succedent formula and add the (new) operating
-    equality in front of the antecedent."""
-    idx = 1 if rule is RuleId.EQ1 else 2
-    out: list[Sequent] = []
-    for e in atom_pool:
-        if not isinstance(e, Eq):
-            continue
-        frm, to = (e.lhs, e.rhs) if idx == 1 else (e.rhs, e.lhs)
-        for j, ctx in enumerate(seq.succ):
-            if not is_atomic(ctx):
-                continue
-            for paths in _nonempty_nonoverlapping_subsets(occurrences(ctx, frm)):
-                new = replace_at(ctx, set(paths), frm, to)
-                out.append(Sequent((e,) + seq.ante, replace_formula(seq.succ, j, new)))
-    return out
-
-
-def _forward_left_rewrites(seq: Sequent, rule: RuleId) -> list[Sequent]:
-    idx, retention = RULES[rule].index, RULES[rule].retention
-    out: list[Sequent] = []
-    for e_i, op in enumerate(seq.ante):
-        if not isinstance(op, Eq):
-            continue
-        frm, to = (op.lhs, op.rhs) if idx == 1 else (op.rhs, op.lhs)
-        for i, ctx in enumerate(seq.ante):
-            if i == e_i or not is_atomic(ctx):
-                continue
-            keep = retention == "keep" or (retention == "plus" and isinstance(ctx, Eq))
-            if keep:
-                # forward: delete the input formula if its rewrite is also present
-                for i2, other in enumerate(seq.ante):
-                    if i2 in (e_i, i):
-                        continue
-                    for paths in _nonempty_nonoverlapping_subsets(occurrences(other, to)):
-                        if replace_at(other, set(paths), to, frm) == ctx:
-                            out.append(Sequent(remove_at(seq.ante, i2), seq.succ))
-            else:
-                for paths in _nonempty_nonoverlapping_subsets(occurrences(ctx, frm)):
-                    new = replace_at(ctx, set(paths), frm, to)
-                    out.append(Sequent(replace_formula(seq.ante, i, new), seq.succ))
+        to, frm = sig.terms(op)  # conclusion side, premiss side
+        if sig.context_side == "s":
+            new_ante = (op,) + ante if intro else ante
+            for j, f in enumerate(succ):
+                out += [Sequent(new_ante, replace_formula(succ, j, c)) for c in _rewrites(f, frm, to)]
+        else:
+            for i, f in enumerate(ante):
+                if i == e:
+                    continue
+                for c in _rewrites(f, frm, to):
+                    if not sig.keeps_context(c):
+                        out.append(Sequent(replace_formula(ante, i, c), succ))
+                    elif any(g == c for k, g in enumerate(ante) if k not in (e, i)):
+                        out.append(Sequent(remove_at(ante, i), succ))
     return out
 
 
@@ -434,15 +394,9 @@ def forward_conclusions(
         for i, f in enumerate(seq.ante):
             if isinstance(f, Eq):
                 out.append(Sequent(replace_formula(seq.ante, i, Eq(f.rhs, f.lhs)), seq.succ))
-    for rule in (RuleId.REP1R, RuleId.REP2R):
-        if rule in rules:
-            out.extend(_forward_right_rewrites(seq, rule))
-    for rule in (RuleId.EQ1, RuleId.EQ2):
-        if rule in rules:
-            out.extend(_forward_eq_intro(seq, rule, atom_pool))
-    for rule in (RuleId.REP1L, RuleId.REP2L, RuleId.REP, RuleId.REPP, RuleId.REP1LP, RuleId.REP2LP):
-        if rule in rules:
-            out.extend(_forward_left_rewrites(seq, rule))
+    for rule, sig in RULES.items():
+        if sig.index and rule in rules:
+            out += _forward_replacements(seq, rule, atom_pool)
     if RuleId.LW in rules:
         for f in atom_pool:
             out.append(Sequent((f,) + seq.ante, seq.succ))
@@ -476,16 +430,9 @@ def forward_pair_conclusions(p1: Sequent, p2: Sequent, spec: CalculusSpec) -> li
             if not isinstance(e, Eq):
                 continue
             for k, ctx in enumerate(p2.succ):
-                if not is_atomic(ctx):
-                    continue
-                for paths in _nonempty_nonoverlapping_subsets(occurrences(ctx, e.lhs)):
-                    new = replace_at(ctx, set(paths), e.lhs, e.rhs)
-                    out.append(
-                        Sequent(
-                            p1.ante + p2.ante,
-                            remove_at(p1.succ, j) + replace_formula(p2.succ, k, new),
-                        )
-                    )
+                for new in _rewrites(ctx, e.lhs, e.rhs):
+                    succ = remove_at(p1.succ, j) + replace_formula(p2.succ, k, new)
+                    out.append(Sequent(p1.ante + p2.ante, succ))
     return out
 
 
@@ -573,11 +520,14 @@ def _axioms(seq: Sequent, spec: CalculusSpec) -> bool:
 def saturate_forward(sig: Signature, spec: CalculusSpec, lim: SearchLimits) -> SaturationResult:
     """Forward closure of the finite pool under the calculus rules.
 
-    Requires ``spec.base == "none"``.  Stops at the fixpoint or when the node
-    budget is exhausted (reported via ``fixpoint=False``).
+    Requires ``spec.base == "none"`` and no flags, as the forward rules
+    apply no flag or orientation check.  Stops at the fixpoint or when the
+    node budget is exhausted (reported via ``fixpoint=False``).
     """
     if spec.base != "none":
         raise SearchError("saturation is defined for the equality fragment (base=none)")
+    if spec.flags:
+        raise SearchError(f"saturation applies no flags, got {', '.join(sorted(map(str, spec.flags)))}")
     atom_pool = sig.atom_pool(lim.term_height)
     pool = _pool_sequents(sig, atom_pool)
     in_pool = set(pool)
@@ -634,17 +584,16 @@ def exact_decide(goal: Sequent, spec: CalculusSpec, lim: SearchLimits) -> ExactR
     multiset = pool.multiset
     # (conclusion, its unmarked premisses) of each move, by the multiset numbers it waits on
     waiting: dict[int, list[tuple[int, set[int]]]] = {}
-    expanded: set[int] = set()
     marked: set[int] = set()
+    queued = {multiset(goal)}  # each multiset enters the frontier once
     frontier = deque([goal])
+    states = 0
     while frontier and multiset(goal) not in marked:
         seq = frontier.popleft()
         mset = multiset(seq)
-        if mset in expanded:
-            continue
-        expanded.add(mset)
-        if len(expanded) > lim.node_budget:
-            return ExactResult(False, False, len(expanded))
+        states += 1
+        if states > lim.node_budget:
+            return ExactResult(False, False, states)
         newly = []
         for _, premisses in expansions(seq, spec, universe, pool):
             unmarked = {multiset(p) for p in premisses} - marked
@@ -653,7 +602,10 @@ def exact_decide(goal: Sequent, spec: CalculusSpec, lim: SearchLimits) -> ExactR
                 break
             for p in unmarked:
                 waiting.setdefault(p, []).append((mset, unmarked))
-            frontier.extend(p for p in premisses if multiset(p) not in expanded)
+            for p in premisses:
+                if multiset(p) not in queued:
+                    queued.add(multiset(p))
+                    frontier.append(p)
         while newly:
             mset = newly.pop()
             if mset not in marked:
@@ -662,7 +614,7 @@ def exact_decide(goal: Sequent, spec: CalculusSpec, lim: SearchLimits) -> ExactR
                     unmarked.discard(mset)
                     if not unmarked:
                         newly.append(conclusion)
-    return ExactResult(True, multiset(goal) in marked, len(expanded))
+    return ExactResult(True, multiset(goal) in marked, states)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,16 @@ import random
 import pytest
 
 from corpus import EQUIVALENT_PRESETS, criterion_7_corpus, random_function_free_sequent
-from eqseq.calculus import PRESETS, RuleId, applicable_instances, premisses_of
+from eqseq.calculus import (
+    PRESETS,
+    CalculusSpec,
+    MovePool,
+    RuleId,
+    _goal_predicates,
+    applicable_instances,
+    expansions,
+    premisses_of,
+)
 from eqseq.checker import check, node
 from eqseq.parser import parse_sequent, print_derivation
 from eqseq.search import (
@@ -17,6 +26,9 @@ from eqseq.search import (
     MalformedWitnessError,
     NonAtomicGoalError,
     Proved,
+    S1_HOOK,
+    S2_HOOK,
+    SearchError,
     SearchLimits,
     Signature,
     WitnessPlan,
@@ -26,12 +38,14 @@ from eqseq.search import (
     decide_function_free,
     default_universe,
     exact_decide,
+    forward_conclusions,
+    forward_pair_conclusions,
     prove,
     refuted_by_countermodel,
     saturate_forward,
     sequent_terms,
 )
-from eqseq.syntax import Eq, FunApp, Param, closed_terms
+from eqseq.syntax import Eq, FunApp, Param, Sequent, closed_terms
 
 
 def seq(text):
@@ -165,6 +179,93 @@ def test_saturation_agrees_with_prove_on_small_pool():
     for s in pool:
         outcome = prove(s, spec, lim)
         assert isinstance(outcome, Proved) == (s in res), str(s)
+
+
+# every spec the forward oracle covers: the unflagged presets with base none,
+# and the structural rules that no preset has
+ORACLE_SPECS = {name: spec for name, spec in PRESETS.items() if spec.base == "none" and not spec.flags}
+ORACLE_SPECS["symm-lw-rw-rc"] = CalculusSpec(rules=frozenset({RuleId.SYMM, RuleId.LW, RuleId.RW, RuleId.RC}))
+
+
+def _random_pool_sequent(rng, atoms, max_ante=3):
+    ante = rng.choices(atoms, k=rng.randint(0, max_ante))
+    return Sequent(tuple(ante), tuple(rng.choices(atoms, k=rng.randint(1, 2))))
+
+
+@pytest.mark.parametrize("name", ORACLE_SPECS)
+def test_forward_steps_are_the_backward_instances(name):
+    # rule by rule over one atom pool: each backward instance of a seeded
+    # conclusion is a forward step from its premisses, and each forward step
+    # from such a premiss has a backward instance with that premiss
+    spec = ORACLE_SPECS[name]
+    sig = Signature(params=("a", "b", "c"), funcs=(("f", 1),), preds=(("P", 1),))
+    atoms, universe = sig.atom_pool(1), frozenset(sig.universe(1))
+    single = spec.with_rules(without=(RuleId.CUT, RuleId.CNG))  # the rules of forward_conclusions
+    rng, pool = random.Random(27), MovePool()
+    premisses = []
+    for k in range(150):
+        c = _random_pool_sequent(rng, atoms)
+        # the cut and cng instances are many: those of the first 15 conclusions
+        for inst, ps in expansions(c, spec if k < 15 else single, universe):
+            if len(ps) == 2:
+                assert c in forward_pair_conclusions(*ps, spec), (str(c), inst)
+            elif ps:
+                assert c in forward_conclusions(ps[0], spec, atoms), (str(c), inst)
+                if ps[0] not in premisses:
+                    premisses.append(ps[0])
+    for p in premisses[:40]:
+        for c in set(forward_conclusions(p, spec, atoms)):
+            assert any(ps == [p] for _, ps in expansions(c, single, universe, pool)), (str(p), str(c))
+    if spec.rules & {RuleId.CUT, RuleId.CNG}:
+        for _ in range(15):
+            p1 = _random_pool_sequent(rng, atoms, max_ante=1)
+            p2 = _random_pool_sequent(rng, atoms, max_ante=0)
+            p2 = Sequent((rng.choice(p1.succ),), p2.succ)
+            for c in set(forward_pair_conclusions(p1, p2, spec)):
+                # backward cut formulas use only the conclusion's predicates
+                if _goal_predicates(c) >= _goal_predicates(p1) | _goal_predicates(p2):
+                    instances = expansions(c, spec, universe, pool)
+                    assert any(ps == [p1, p2] for _, ps in instances), (str(p1), str(p2), str(c))
+
+
+def test_saturation_keeps_the_counterexample_shapes_underivable():
+    # S1 and S2 each derive the other's counterexample, never their own; the
+    # retained copy of a context needs a third antecedent formula
+    sig = Signature(params=("a", "b", "c"), max_ante=3, max_succ=1)
+    s1, s2 = "a=c, b=c |- a=b", "c=a, c=b |- a=b"
+    for name, hook, own, mirror in (("S1", S1_HOOK, s1, s2), ("S2", S2_HOOK, s2, s1)):
+        res = saturate_forward(sig, PRESETS[name], SearchLimits(term_height=1))
+        assert res.fixpoint and seq(own) not in res, name
+        assert not [str(s) for s in res.derived if hook.matches(s)], name
+        assert seq(mirror) in res and isinstance(prove(seq(mirror), PRESETS[name], SearchLimits(2)), Proved), name
+
+
+@pytest.mark.parametrize("name", ["CngOnly", "CngCut", "EqCut", "CngLCeq"])
+def test_saturation_with_pair_rules_derives_the_valid_pool_sequents(name):
+    # complete on function-free atomic sequents: the pool sequents derived
+    # are the ones no countermodel refutes
+    sig = Signature(params=("a", "b", "c"), max_ante=1, max_succ=1)
+    res = saturate_forward(sig, PRESETS[name], SearchLimits(term_height=1))
+    pool = _pool(sig, 1)
+    assert res.fixpoint and len(pool) == 100
+    assert res.derived == {s for s in pool if not refuted_by_countermodel(s)}
+    assert len(res.derived) == 42
+
+
+def test_saturation_reports_a_stop_at_the_node_budget():
+    sig = Signature(params=("a", "b"), max_ante=1, max_succ=1)
+    res = saturate_forward(sig, R12r, SearchLimits(term_height=1, node_budget=3))
+    assert not res.fixpoint and res.expansions == 4
+
+
+def test_saturation_refuses_what_its_rules_do_not_check():
+    sig = Signature(params=("a", "b"), max_ante=1, max_succ=1)
+    with pytest.raises(SearchError, match="base=none"):
+        saturate_forward(sig, PRESETS["G3cR12r"], SearchLimits(term_height=1))
+    with pytest.raises(SearchError, match="ctx-eq, ctx-noneq, eqr"):
+        saturate_forward(sig, PRESETS["R_scope_eqr"], SearchLimits(term_height=1))
+    with pytest.raises(SearchError, match="oriented"):
+        saturate_forward(sig, PRESETS["R12prec_rlPlus"], SearchLimits(term_height=1))
 
 
 def _pool(sig, height):
