@@ -29,21 +29,30 @@ class _UsageError(Exception):
 
 
 def _load_config(path: str | None) -> dict[str, str]:
-    candidates = [path] if path else ["eqseq.toml"]
+    """The ``key = value`` lines of ``path``, which must exist, or else of
+    ``./eqseq.toml`` when there is one."""
+    if not path:
+        if not os.path.exists("eqseq.toml"):
+            return {}
+        path = "eqseq.toml"
     out: dict[str, str] = {}
-    for cand in candidates:
-        if cand and os.path.exists(cand):
-            with open(cand, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.split("#", 1)[0].strip()
-                    if not line:
-                        continue
-                    if "=" not in line:
-                        raise _UsageError(f"malformed config line: {line!r}")
-                    key, value = line.split("=", 1)
-                    out[key.strip()] = value.strip().strip('"')
-            break
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise _UsageError(f"malformed config line: {line!r}")
+            key, value = line.split("=", 1)
+            out[key.strip()] = value.strip().strip('"')
     return out
+
+
+def _config_int(cfg: dict[str, str], key: str, default: int) -> int:
+    try:
+        return int(cfg.get(key, default))
+    except ValueError:
+        raise _UsageError(f"config value {key} = {cfg[key]!r} is not an integer") from None
 
 
 def _emit(human: list[str], machine: dict, json_mode: bool, elapsed_ms: int) -> None:
@@ -67,9 +76,9 @@ def _counts(d: Derivation) -> dict[str, int]:
 
 
 def _limits(args, cfg) -> search.SearchLimits:
-    depth = args.depth if args.depth is not None else int(cfg.get("depth", 6))
-    th = args.term_height if args.term_height is not None else int(cfg.get("term_height", 3))
-    budget = args.budget if args.budget is not None else int(cfg.get("budget", 100_000))
+    depth = args.depth if args.depth is not None else _config_int(cfg, "depth", 6)
+    th = args.term_height if args.term_height is not None else _config_int(cfg, "term_height", 3)
+    budget = args.budget if args.budget is not None else _config_int(cfg, "budget", 100_000)
     universe = None
     if getattr(args, "universe_file", None):
         with open(args.universe_file, encoding="utf-8") as fh:
@@ -309,16 +318,27 @@ def _cmd_presets(args, cfg) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # argparse makes a formatter for every argument added and every text
-    # printed, and each asks for the terminal's width: ask once per parser
+_COMMANDS = ("check", "prove", "decide", "transform", "compare", "presets")
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    # The top parser's one option is --config, so an ``argv`` that starts with
+    # a command name can only parse as that command: build its parser alone,
+    # whose prog, help, usage and errors do not depend on the other commands.
+    # Otherwise (no argv, -h, --config, an unknown command) build them all.
+    # The top usage, printed for unrecognized arguments, lists every command
+    # either way.  argparse makes a formatter for every argument added and
+    # every text printed, and each asks for the terminal's width: ask once.
     import shutil  # here, as argparse does: a cold ``import eqseq.cli`` need not load it
 
     formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     top = argparse.ArgumentParser(prog="eqseq", description=__doc__, formatter_class=formatter)
     top.add_argument("--config", help="key = value defaults file (default ./eqseq.toml)")
-    sub = top.add_subparsers(dest="command", required=True)
-    command = functools.partial(sub.add_parser, formatter_class=formatter)
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    sub = top.add_subparsers(dest="command", required=True, metavar=only and "{%s}" % ",".join(_COMMANDS))
+
+    def command(name, help):
+        return sub.add_parser(name, help=help, formatter_class=formatter) if only in (None, name) else None
 
     def common(p, spec_opts=True, limit_opts=False):
         p.add_argument("--json", action="store_true", help="machine block as JSON")
@@ -331,49 +351,49 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--budget", type=int, help="total node expansion cap")
             p.add_argument("--universe-file", help="file of terms, one per line")
 
-    p = command("check", help="verify a .drv derivation file")
-    p.add_argument("drv")
-    common(p)
-    p.set_defaults(func=_cmd_check)
+    if (p := command("check", help="verify a .drv derivation file")) is not None:
+        p.add_argument("drv")
+        common(p)
+        p.set_defaults(func=_cmd_check)
 
-    p = command("prove", help="bounded backward proof search")
-    p.add_argument("sequent")
-    common(p, limit_opts=True)
-    p.add_argument("-o", "--out", help="write the found derivation here")
-    p.set_defaults(func=_cmd_prove)
+    if (p := command("prove", help="bounded backward proof search")) is not None:
+        p.add_argument("sequent")
+        common(p, limit_opts=True)
+        p.add_argument("-o", "--out", help="write the found derivation here")
+        p.set_defaults(func=_cmd_prove)
 
-    p = command("decide", help="exact decision for function-free atomic sequents")
-    p.add_argument("sequent")
-    common(p, spec_opts=False)
-    p.add_argument("-o", "--out", help="write the oriented witness derivation here")
-    p.set_defaults(func=_cmd_decide)
+    if (p := command("decide", help="exact decision for function-free atomic sequents")) is not None:
+        p.add_argument("sequent")
+        common(p, spec_opts=False)
+        p.add_argument("-o", "--out", help="write the oriented witness derivation here")
+        p.set_defaults(func=_cmd_decide)
 
-    p = command("transform", help="apply a proof transformation to a .drv file")
-    p.add_argument("drv")
-    p.add_argument("op", choices=sorted(_TRANSFORMS))
-    common(p)
-    p.add_argument("--source", help="source preset (translate)")
-    p.add_argument("--target", help="target preset (translate)")
-    p.add_argument("--prec", help="semishorten precedence: height, none or @file")
-    p.add_argument("-o", "--out", help="write the transformed derivation here")
-    p.set_defaults(func=_cmd_transform)
+    if (p := command("transform", help="apply a proof transformation to a .drv file")) is not None:
+        p.add_argument("drv")
+        p.add_argument("op", choices=sorted(_TRANSFORMS))
+        common(p)
+        p.add_argument("--source", help="source preset (translate)")
+        p.add_argument("--target", help="target preset (translate)")
+        p.add_argument("--prec", help="semishorten precedence: height, none or @file")
+        p.add_argument("-o", "--out", help="write the transformed derivation here")
+        p.set_defaults(func=_cmd_transform)
 
-    p = command("compare", help="prove a corpus under two calculi and tabulate")
-    p.add_argument("corpus", help=".seq file, one sequent per line")
-    p.add_argument("preset_a")
-    p.add_argument("preset_b")
-    common(p, spec_opts=False, limit_opts=True)
-    p.set_defaults(func=_cmd_compare)
+    if (p := command("compare", help="prove a corpus under two calculi and tabulate")) is not None:
+        p.add_argument("corpus", help=".seq file, one sequent per line")
+        p.add_argument("preset_a")
+        p.add_argument("preset_b")
+        common(p, spec_opts=False, limit_opts=True)
+        p.set_defaults(func=_cmd_compare)
 
-    p = command("presets", help="list the named calculus presets")
-    common(p, spec_opts=False)
-    p.set_defaults(func=_cmd_presets)
+    if (p := command("presets", help="list the named calculus presets")) is not None:
+        common(p, spec_opts=False)
+        p.set_defaults(func=_cmd_presets)
 
     return top
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

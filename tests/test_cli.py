@@ -367,6 +367,25 @@ def test_config_file_defaults(tmp_path, capsys, monkeypatch):
     assert "result: proved" in out
 
 
+def test_missing_config_file_named_on_the_command_line_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = invoke(capsys, "--config", "nope.toml", "prove", "a=b |- b=a", "--preset", "R12r")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "nope.toml" in err and err.count("\n") == 1
+    # no ./eqseq.toml is no error
+    code, out, err = invoke(capsys, "prove", "a=b |- b=a", "--preset", "R12r")
+    assert (code, err) == (0, "") and "result: proved" in out
+
+
+@pytest.mark.parametrize("key", ["depth", "term_height", "budget"])
+def test_non_integer_config_value_is_a_usage_error(key, tmp_path, capsys):
+    cfg = tmp_path / "bad.toml"
+    cfg.write_text(f"preset = R12r\n{key} = x\n")
+    code, out, err = invoke(capsys, "--config", str(cfg), "prove", "a=b |- b=a")
+    assert (code, out) == (2, "")
+    assert err == f"error: config value {key} = 'x' is not an integer\n"
+
+
 def test_semishorten_with_explicit_precedence_file(tmp_path, capsys):
     prec = tmp_path / "prec.txt"
     prec.write_text("a < b   # a is smaller\nc < b\n")

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -383,6 +384,34 @@ def test_chain_to_derivation_rejects_malformed_plans(monkeypatch):
     monkeypatch.setattr(search_mod, "check", lambda d, spec: CheckReport(False, d.height))
     with pytest.raises(MalformedWitnessError):
         chain_to_derivation(decide_function_free(goal))
+
+
+def _malformed_plans():
+    """(message, plan) for each check of ``_validate_plan`` but the loop one."""
+    eq_goal, atom_goal = seq("b=a, b=c |- a=c"), seq("a=b, P(b) |- P(a)")
+    b_a, b_c = eq_goal.ante
+    a, b, c = Param("a"), Param("b"), Param("c")
+    a_a = Eq(a, a)
+    a_to_c = Chain(a, c, ((b_a, False), (b_c, True)))
+    b_to_a = Chain(b, a, ((atom_goal.ante[0], False),))
+    return [
+        ("equality goal needs exactly one chain", WitnessPlan(eq_goal, None, (a_to_c, a_to_c))),
+        ("chain endpoints do not match the goal", WitnessPlan(eq_goal, None, (Chain(c, a, ()),))),
+        ("witness index given for an equality goal", WitnessPlan(eq_goal, 0, (a_to_c,))),
+        ("witness index out of range", WitnessPlan(atom_goal, 2, (b_to_a,))),
+        ("witness atom does not match the goal", WitnessPlan(atom_goal, 0, (b_to_a,))),
+        ("one chain per argument required", WitnessPlan(atom_goal, 1, ())),
+        ("chain endpoints do not match", WitnessPlan(atom_goal, 1, (Chain(a, b, ()),))),
+        (f"link {a_a} not in the antecedent", WitnessPlan(eq_goal, None, (Chain(a, c, ((a_a, True),)),))),
+        ("chain links do not connect", WitnessPlan(eq_goal, None, (Chain(a, c, ((b_c, True),)),))),
+        ("chain does not reach its endpoint", WitnessPlan(eq_goal, None, (Chain(a, c, ((b_a, False),)),))),
+    ]
+
+
+@pytest.mark.parametrize("message, plan", _malformed_plans(), ids=[m for m, _ in _malformed_plans()])
+def test_chain_to_derivation_names_each_malformation(message, plan):
+    with pytest.raises(MalformedWitnessError, match=f"^malformed-witness: {re.escape(message)}$"):
+        chain_to_derivation(plan)
 
 
 def test_exact_decide_matches_decision_procedure():
