@@ -1160,18 +1160,17 @@ def parse_precedence(text: str) -> Precedence:
 
 def load_precedence_file(path: str) -> Precedence:
     """Explicit precedence: one ``t1 < t2`` pair per line, ``#`` comments."""
-    from .parser import parse_term
+    from .parser import parse_term, read_text
 
     pairs: set[tuple[Term, Term]] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "<" not in line:
-                raise CalculusError(f"malformed precedence line {line!r}")
-            left, right = line.split("<", 1)
-            pairs.add((parse_term(left.strip()), parse_term(right.strip())))
+    for line in read_text(path).split("\n"):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "<" not in line:
+            raise CalculusError(f"malformed precedence line {line!r}")
+        left, right = line.split("<", 1)
+        pairs.add((parse_term(left.strip()), parse_term(right.strip())))
     return Precedence("explicit", frozenset(pairs))
 
 

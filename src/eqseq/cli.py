@@ -18,7 +18,7 @@ import time
 
 from .calculus import PRESETS, RuleId, parse_precedence, resolve_spec
 from .checker import Derivation, check, stats
-from .parser import parse_derivation, parse_sequent, parse_term, print_derivation, print_sequent
+from .parser import parse_derivation, parse_sequent, parse_term, print_derivation, print_sequent, read_text
 from .syntax import EqSeqError
 # loaded on first use (see ``eqseq/__init__.py``): look names up as commands run
 from . import search, transform as tf
@@ -36,15 +36,14 @@ def _load_config(path: str | None) -> dict[str, str]:
             return {}
         path = "eqseq.toml"
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise _UsageError(f"malformed config line: {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip().strip('"')
+    for line in read_text(path).split("\n"):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise _UsageError(f"malformed config line: {line!r}")
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip().strip('"')
     return out
 
 
@@ -81,12 +80,11 @@ def _limits(args, cfg) -> search.SearchLimits:
     budget = args.budget if args.budget is not None else _config_int(cfg, "budget", 100_000)
     universe = None
     if getattr(args, "universe_file", None):
-        with open(args.universe_file, encoding="utf-8") as fh:
-            terms = [
-                parse_term(line.split("#", 1)[0].strip())
-                for line in fh
-                if line.split("#", 1)[0].strip()
-            ]
+        terms = [
+            parse_term(line.split("#", 1)[0].strip())
+            for line in read_text(args.universe_file).split("\n")
+            if line.split("#", 1)[0].strip()
+        ]
         universe = frozenset(terms)
     return search.SearchLimits(max_depth=depth, term_height=th, universe=universe, node_budget=budget)
 
@@ -108,8 +106,7 @@ def _write_drv(path: str, d: Derivation) -> None:
 
 def _cmd_check(args, cfg) -> int:
     spec = _spec_of(args, cfg)
-    with open(args.drv, encoding="utf-8") as fh:
-        d = parse_derivation(fh.read())
+    d = parse_derivation(read_text(args.drv))
     t0 = time.monotonic()
     rep = check(d, spec)
     ms = int((time.monotonic() - t0) * 1000)
@@ -235,8 +232,7 @@ _TRANSFORMS = {
 
 
 def _cmd_transform(args, cfg) -> int:
-    with open(args.drv, encoding="utf-8") as fh:
-        d = parse_derivation(fh.read())
+    d = parse_derivation(read_text(args.drv))
     op = args.op
     transform, before = _TRANSFORMS[op]
     make_report = tf.make_report  # the first lookup loads transform: not timed
@@ -271,12 +267,11 @@ def _cmd_compare(args, cfg) -> int:
     spec_a = resolve_spec(args.preset_a)
     spec_b = resolve_spec(args.preset_b)
     lim = _limits(args, cfg)
-    with open(args.corpus, encoding="utf-8") as fh:
-        goals = [
-            parse_sequent(line.split("#", 1)[0].strip())
-            for line in fh
-            if line.split("#", 1)[0].strip()
-        ]
+    goals = [
+        parse_sequent(line.split("#", 1)[0].strip())
+        for line in read_text(args.corpus).split("\n")
+        if line.split("#", 1)[0].strip()
+    ]
     t0 = time.monotonic()
     rows = []
     agree = disagree = inconclusive = 0
@@ -322,23 +317,31 @@ _COMMANDS = ("check", "prove", "decide", "transform", "compare", "presets")
 
 
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    # The top parser's one option is --config, so an ``argv`` that starts with
-    # a command name can only parse as that command: build its parser alone,
-    # whose prog, help, usage and errors do not depend on the other commands.
-    # Otherwise (no argv, -h, --config, an unknown command) build them all.
-    # The top usage, printed for unrecognized arguments, lists every command
-    # either way.  argparse makes a formatter for every argument added and
-    # every text printed, and each asks for the terminal's width: ask once.
+    # An ``argv`` that starts with a command name builds that command's parser
+    # alone, for ``run`` to hand the rest of ``argv``.  In the whole tree, the
+    # subparsers action hands that parser every argument after the name, and
+    # it prints its own help and errors; the top parser adds only
+    # ``config=None`` and the check for leftovers, which ``run`` has the whole
+    # tree make, so that their message and usage are the top parser's.  Any
+    # other argv (none, -h, --config, an unknown command) builds the whole
+    # tree.  argparse makes a formatter for every argument added and every
+    # text printed, and each asks for the terminal's width: ask once.
     import shutil  # here, as argparse does: a cold ``import eqseq.cli`` need not load it
 
     formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-    top = argparse.ArgumentParser(prog="eqseq", description=__doc__, formatter_class=formatter)
-    top.add_argument("--config", help="key = value defaults file (default ./eqseq.toml)")
     only = argv[0] if argv and argv[0] in _COMMANDS else None
-    sub = top.add_subparsers(dest="command", required=True, metavar=only and "{%s}" % ",".join(_COMMANDS))
+    if only:
+        parser = argparse.ArgumentParser(prog=f"eqseq {only}", formatter_class=formatter)
+        parser.set_defaults(command=only, config=None)
+    else:
+        parser = argparse.ArgumentParser(prog="eqseq", description=__doc__, formatter_class=formatter)
+        parser.add_argument("--config", help="key = value defaults file (default ./eqseq.toml)")
+        sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, help):
-        return sub.add_parser(name, help=help, formatter_class=formatter) if only in (None, name) else None
+        if only is None:
+            return sub.add_parser(name, help=help, formatter_class=formatter)
+        return parser if name == only else None
 
     def common(p, spec_opts=True, limit_opts=False):
         p.add_argument("--json", action="store_true", help="machine block as JSON")
@@ -389,19 +392,21 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         common(p, spec_opts=False)
         p.set_defaults(func=_cmd_presets)
 
-    return top
+    return parser
 
 
 def run(argv: list[str]) -> int:
     parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv[1:] if parser.prog != "eqseq" else argv)
+        if extra:
+            build_parser().parse_args(argv)  # exits 2, with the whole tree's message
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
         cfg = _load_config(args.config)
         return args.func(args, cfg)
-    except (_UsageError, FileNotFoundError, EqSeqError) as exc:
+    except (_UsageError, OSError, EqSeqError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a defect, not a verdict: exit 2 without a traceback

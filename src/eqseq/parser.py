@@ -409,6 +409,15 @@ def parse_sequent(text: str) -> Sequent:
     return Sequent(tuple(map(_rename_binders_apart, s.ante)), tuple(map(_rename_binders_apart, s.succ)))
 
 
+def read_text(path: str) -> str:
+    """The text of the UTF-8 file at ``path``; other bytes are an error naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise EqSeqError(f"{path}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # Printers (canonical form; parse of the output reproduces the value)
 

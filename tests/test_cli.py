@@ -386,6 +386,38 @@ def test_non_integer_config_value_is_a_usage_error(key, tmp_path, capsys):
     assert err == f"error: config value {key} = 'x' is not an integer\n"
 
 
+@pytest.mark.parametrize("kind", ["directory", "not UTF-8"])
+def test_unreadable_file_is_one_error_line_naming_it(kind, tmp_path, capsys):
+    # an OSError or undecodable bytes in any file the command line names: exit
+    # 2 with one error line, never cli.run's defect line
+    bad = tmp_path / "bad"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b'\xff\xfe(refax [0] "|- t = t")\n')
+    drv = tmp_path / "ok.drv"
+    drv.write_text('(refax [0] "|- t = t")\n')
+    goal = ["a=b |- b=a", "--preset", "R12r"]
+    argvs = [
+        ["check", str(bad), "--preset", "R12r"],
+        ["transform", str(bad), "cut-eliminate"],
+        ["compare", str(bad), "R12r", "R12rl"],
+        ["--config", str(bad), "presets"],
+        ["prove", *goal, "--universe-file", str(bad)],
+        ["transform", str(drv), "semishorten", "--prec", f"@{bad}"],
+    ]
+    if kind == "directory":
+        argvs += [
+            ["prove", *goal, "-o", str(bad)],
+            ["decide", "a=b |- b=a", "-o", str(bad)],
+            ["transform", str(drv), "right-normalize", "-o", str(bad)],
+        ]
+    for argv in argvs:
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, ""), (argv, out)
+        assert not _DEFECT.search(err) and err.count("\n") == 1 and str(bad) in err, (argv, err)
+
+
 def test_semishorten_with_explicit_precedence_file(tmp_path, capsys):
     prec = tmp_path / "prec.txt"
     prec.write_text("a < b   # a is smaller\nc < b\n")

@@ -59,18 +59,20 @@ def test_help_as_argparse_prints_it(monkeypatch):
 
 def test_build_parser_returns_a_new_parser():
     assert eqseq.cli.build_parser() is not eqseq.cli.build_parser()
+    for name in eqseq.cli._COMMANDS:
+        assert eqseq.cli.build_parser([name]) is not eqseq.cli.build_parser([name])
 
 
 def _assert_one_command_parser_as_in_the_whole_tree():
     """For each command, under the current COLUMNS: ``build_parser([name, ...])``
-    holds that command's parser alone, with the whole tree's help and usage
-    text, and the whole tree's top usage, which an unrecognized argument prints."""
-    whole_top, *whole = _parsers(eqseq.cli.build_parser())
+    is that command's parser alone, with the whole tree's prog, help and usage
+    text.  An unrecognized argument is reported by the whole tree itself."""
+    _, *whole = _parsers(eqseq.cli.build_parser())
     assert len(whole) == len(eqseq.cli._COMMANDS)
     for name, p in zip(eqseq.cli._COMMANDS, whole):
-        top, one = _parsers(eqseq.cli.build_parser([name, "--json"]))
+        one = eqseq.cli.build_parser([name, "--json"])
+        assert not any(isinstance(a, argparse._SubParsersAction) for a in one._actions), name
         assert (one.prog, _texts(one)) == (p.prog, _texts(p)), (os.environ["COLUMNS"], name)
-        assert top.format_usage() == whole_top.format_usage(), (os.environ["COLUMNS"], name)
 
 
 def test_one_command_parser_as_in_the_whole_tree(monkeypatch):
@@ -112,6 +114,12 @@ def _argvs(tmp):
         ["transform", drv, "bogus-op"],
         ["prove", "a=b |- a=b", "--preset", "R12r", "--bogus"],
         ["presets", "extra"],
+        ["check", drv, "--config", cfg],
+        ["presets", "--", "x"],
+        ["check", drv, "--pre", "R12r"],
+        ["prove", "a=b |- a=b", "--depth", "x"],
+        ["prove", "--json"],
+        ["transform", drv, "cut-eliminate", "-h"],
         ["--config", cfg, "prove", "b=a |- a=b"],
         ["--config", cfg],
         ["bogus"],
@@ -152,6 +160,7 @@ def _smoke():
 
 
 if __name__ == "__main__":
+    test_build_parser_returns_a_new_parser()
     with tempfile.TemporaryDirectory() as tmp:
         for columns in _COLUMNS:
             os.environ["COLUMNS"] = str(columns)
@@ -161,5 +170,5 @@ if __name__ == "__main__":
     _smoke()
     print(
         f"Python {sys.version.split()[0]}: help text matches at COLUMNS {_COLUMNS}, one-command parsers and "
-        "runs match the whole tree; prove and check pass"
+        "runs match the whole tree, every build is a new parser; prove and check pass"
     )
