@@ -91,14 +91,6 @@ class CheckReport(Record):
         _set(self, "rule_counts", {} if rule_counts is None else rule_counts)
         _set(self, "first_error", first_error)
 
-    def lines(self) -> list[str]:
-        out = [f"valid: {'yes' if self.valid else 'no'}", f"height: {self.height}"]
-        counts = " ".join(f"{r.value}={n}" for r, n in sorted(self.rule_counts.items()))
-        out.append(f"counts: {counts}")
-        if self.first_error is not None:
-            out.append(f"error: {self.first_error}")
-        return out
-
 
 def stats(d: Derivation) -> CheckReport:
     """Height and rule-usage counts only; never fails."""

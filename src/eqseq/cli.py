@@ -206,8 +206,7 @@ def _semishorten(d, args, cfg):
 def _translate(d, args, cfg):
     if not args.source or not args.target:
         raise _UsageError("translate needs --source and --target presets")
-    out = tf.equivalence_translate(d, args.source, args.target)
-    return out, resolve_spec(args.target).with_rules(RuleId.CUT, RuleId.LC, RuleId.LW)
+    return tf.equivalence_translate(d, args.source, args.target), tf.translate_target(args.target)
 
 
 # op -> (function of (derivation, args, cfg) to (output, target), the steps before op

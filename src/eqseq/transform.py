@@ -27,6 +27,7 @@ from .calculus import (
     leaf,
     premisses_of,
     repl_inst,
+    resolve_spec,
 )
 from .checker import Derivation, check, node
 from .syntax import (
@@ -147,8 +148,10 @@ def _spine(d: Derivation) -> list[Derivation]:
 #
 # Derivations read from files may list premiss formulas in any order (the
 # checker compares multisets).  The transformations below manipulate instance
-# indices, so they first renormalize their input: afterwards every child's
-# sequent tuple is exactly the premiss tuple computed by premisses_of.
+# indices, so premiss order is set where a pass starts: each public entry
+# renormalizes its input, after which every child's sequent tuple is exactly
+# the premiss tuple computed by premisses_of.  A pass builds its nodes in that
+# order and does not renormalize them again.
 
 def _remap_instance(inst: RuleInstance, amap: dict[int, int], smap: dict[int, int]) -> RuleInstance:
     maps = {"a": amap, "s": smap}
@@ -188,18 +191,14 @@ def renormalize(d: Derivation, spec: CalculusSpec) -> Derivation:
     premiss tuples; instance indices are remapped accordingly."""
 
     def go(n: Derivation, want: Sequent) -> Generator[tuple, Derivation, Derivation]:
-        inst = n.inst
-        if n.sequent.ante != want.ante or n.sequent.succ != want.succ:
-            amap = _permutation(n.sequent.ante, want.ante)
-            smap = _permutation(n.sequent.succ, want.succ)
-            inst = _remap_instance(inst, amap, smap)
-        premisses = premisses_of(want, inst, spec)
+        n = _reorder_root(n, want)
+        premisses = premisses_of(want, n.inst, spec)
         if len(premisses) != len(n.children):
             raise PreconditionError("input derivation is not valid in the given calculus")
         children = []
         for c, p in zip(n.children, premisses):
             children.append((yield c, p))
-        return Derivation(want, inst, tuple(children))
+        return Derivation(want, n.inst, tuple(children))
 
     return _run(go, d, d.sequent)
 
@@ -257,8 +256,8 @@ def weaken_hp(d: Derivation, f: Formula, side: str, spec: CalculusSpec) -> Deriv
     """
     if side not in ("ante", "succ"):
         raise PreconditionError(f"side must be ante or succ, got {side!r}")
-    d = renormalize(_refresh_eigens(d, formula_params(f)), spec)
-    return _run(_thread, d, f, side, spec)
+    d = renormalize(d, spec)
+    return weaken_hp_many(d, (f,), (), spec) if side == "ante" else weaken_hp_many(d, (), (f,), spec)
 
 
 def _thread(
@@ -282,31 +281,16 @@ def _thread(
 
 
 def weaken_hp_many(d: Derivation, ante, succ, spec: CalculusSpec) -> Derivation:
-    for f in ante:
-        d = weaken_hp(d, f, "ante", spec)
-    for f in succ:
-        d = weaken_hp(d, f, "succ", spec)
+    """:func:`weaken_hp` of each formula of ``ante`` and then of ``succ``,
+    for a derivation already in premiss order (as a pass builds them)."""
+    for side, fs in (("ante", ante), ("succ", succ)):
+        for f in fs:
+            d = _run(_thread, _refresh_eigens(d, formula_params(f)), f, side, spec)
     return d
 
 
 # ---------------------------------------------------------------------------
 # Succedent projection (hp-admissibility of RC)
-
-_PROJECTABLE = (
-    frozenset(rule for rule, sig in RULES.items() if sig.index)
-    | {
-        RuleId.REFAX,
-        RuleId.REFL,
-        RuleId.SYMM,
-        RuleId.CNG,
-        RuleId.LW,
-        RuleId.RW,
-        RuleId.LC,
-        RuleId.LCEQ,
-        RuleId.RC,
-    }
-)
-
 
 def project_succedent(d: Derivation, spec: CalculusSpec) -> tuple[Formula, Derivation]:
     """From a derivation of ``Γ |- Δ`` produce ``A`` in ``Δ`` with a derivation
@@ -338,9 +322,6 @@ def _proj(
         (j,) = inst.principal
         a = seq.succ[j]
         return a, node(Sequent(seq.ante, (a,)), leaf(RuleId.REFAX, 0))
-    if rule not in _PROJECTABLE:
-        raise PreconditionError(f"precondition-violation: cannot project past {rule.value}")
-
     if rule in (RuleId.RW, RuleId.RC):
         return (yield d.children[0], spec)
 
@@ -360,7 +341,7 @@ def _proj(
         if b != input_formula:
             if rule in (RuleId.EQ1, RuleId.EQ2):
                 # the premiss lacks the operating equality; restore it
-                sub = weaken_hp(sub, seq.ante[rep.eq_index], "ante", spec)
+                sub = weaken_hp_many(sub, (seq.ante[rep.eq_index],), (), spec)
                 sub = _reorder_root(sub, Sequent(seq.ante, (b,)))
             return b, sub
         out = seq.succ[rep.context_index]
@@ -768,19 +749,17 @@ def equivalence_translate(d: Derivation, frm, to) -> Derivation:
     the target (e.g. logical rules into a pure equality calculus, or a
     restriction flag that rules every template out).
     """
-    from .calculus import resolve_spec
-
     frm_spec = resolve_spec(frm) if isinstance(frm, str) else frm
-    to_spec = resolve_spec(to) if isinstance(to, str) else to
-    tools = CalculusSpec(
-        to_spec.base,
-        to_spec.rules | {RuleId.CUT, RuleId.LC, RuleId.LW},
-        to_spec.flags,
-        to_spec.precedence,
-    )
     d = renormalize(d, frm_spec)
-    out = _rebuild(d, partial(_translate, tools=tools))
+    out = _rebuild(d, partial(_translate, tools=translate_target(to)))
     return _reorder_root(out, d.sequent)
+
+
+def translate_target(to) -> CalculusSpec:
+    """The calculus :func:`equivalence_translate`'s output into ``to`` (a
+    spec or its text) is checked in: ``to`` plus Cut, LC and LW."""
+    to_spec = resolve_spec(to) if isinstance(to, str) else to
+    return to_spec.with_rules(RuleId.CUT, RuleId.LC, RuleId.LW)
 
 
 def _translate(d: Derivation, tools: CalculusSpec) -> Derivation:
@@ -804,7 +783,7 @@ def _translate(d: Derivation, tools: CalculusSpec) -> Derivation:
         return _reorder_root(_symm_step(children[0], i, tools), seq)
     if rule is RuleId.RW:
         (j,) = inst.principal
-        return _reorder_root(weaken_hp(children[0], seq.succ[j], "succ", tools), seq)
+        return _reorder_root(weaken_hp_many(children[0], (), (seq.succ[j],), tools), seq)
     sig = RULES[rule]
     if sig.index and sig.context_side == "s":
         rep = inst.replacement
@@ -874,17 +853,21 @@ def cut_eliminate_pipeline(d: Derivation) -> Derivation:
     congruence + contraction, eliminate cuts by the generalized multiset-cut
     induction, eliminate congruences by induction on their first premiss, then
     prune contractions.  Output is a cut- and contraction-free derivation of
-    the same endsequent, valid in the bare reflexivity+replacement calculus."""
+    the same endsequent, which the kernel checks in the bare
+    reflexivity+replacement calculus before it is returned."""
     rep = check(d, _SPEC_IN)
     if not rep.valid:
         raise PreconditionError(f"input-not-in-scope: {rep.first_error}")
     goal = d.sequent
     d = _rebuild(renormalize(d, _SPEC_IN), _rep_to_cng)
-    d = _rebuild(renormalize(d, _SPEC_CNG_CUT), _eliminate_cut)
-    d = _rebuild(renormalize(d, _SPEC_CNG), _eliminate_cng)
+    d = _rebuild(d, _eliminate_cut)
+    d = _rebuild(d, _eliminate_cng)
     d = _prune_lc(renormalize(d, _SPEC_REP_LC))
     if d.sequent != goal:
         raise TransformError("cut elimination changed the endsequent")
+    rep = check(d, PRESETS["R12r"])
+    if not rep.valid:
+        raise TransformError(f"cut elimination output fails to check in R12r: {rep.first_error}")
     return d
 
 
@@ -905,8 +888,6 @@ def _rep_to_cng(d: Derivation) -> Derivation:
 def _eliminate_cut(d: Derivation) -> Derivation:
     if d.inst.rule is RuleId.CUT:
         left, right = d.children
-        left = renormalize(left, _SPEC_CNG)
-        right = renormalize(right, _SPEC_CNG)
         out = _run(_gencut, left, right, d.inst.cut_formula, 1)
         return _reorder_root(out, d.sequent)
     return d
@@ -922,7 +903,7 @@ def _remove_n(fs: tuple[Formula, ...], f: Formula, n: int) -> tuple[Formula, ...
 def _gencut(dl: Derivation, dr: Derivation, a: Formula, n: int) -> Generator[tuple, Derivation, Derivation]:
     """The generalized cut  Γ|-Δ,A  +  Aⁿ,Λ|-Θ  =>  Γ,Λ|-Δ,Θ  eliminated by
     induction on the right derivation, inside {RefAx, LC, CNG}; ``dr`` is a
-    subtree of a derivation renormalized in that calculus."""
+    subtree of a derivation in premiss order there."""
     if n == 0:
         return dr
     gamma = dl.sequent.ante
@@ -1018,7 +999,7 @@ def _contract_succ_to(d: Derivation, want: tuple[Formula, ...]) -> Derivation:
 
     if Counter(d.sequent.succ) == Counter(want):
         return d
-    a0, proj = project_succedent(d, _SPEC_CNG)
+    a0, proj = _run(_proj, d, _SPEC_CNG)
     if a0 not in want:
         raise TransformError("succedent contraction lost the projected formula")
     rest = list(want)
@@ -1031,8 +1012,7 @@ def _eliminate_cng(d: Derivation) -> Derivation:
         rep = d.inst.replacement
         out_f = d.sequent.succ[rep.context_index]
         concl_term = term_at(out_f, rep.paths[0])
-        c1 = renormalize(d.children[0], _SPEC_REP_LC)
-        c2 = renormalize(d.children[1], _SPEC_REP_LC)
+        c1, c2 = d.children
         built = _run(_cng_step, c1, c2, d.inst.witness, concl_term, out_f, rep.paths)
         return _reorder_root(built, d.sequent)
     return d
@@ -1047,8 +1027,8 @@ def _cng_step(
     paths: tuple[Path, ...],
 ) -> Generator[tuple, Derivation, Derivation]:
     """Eliminate one congruence inference by induction on the height of its
-    first premiss (a derivation of  Γ' |- Δ, r=s  in {RefAx, Rep, LC}, and a
-    subtree of one renormalized there).
+    first premiss (a derivation of  Γ' |- Δ, r=s  in {RefAx, Rep, LC}, in
+    premiss order there).
 
     Returns a derivation of  Γ', Λ |- Δ, Θ'  where Θ' is d1's succedent with
     the rewritten formula replaced by ``out_f``."""
@@ -1116,7 +1096,7 @@ def _cng_step(
         lhs_rel = tuple(p[1:] for p in rep.paths if p[0] == 0)
         rhs_rel = tuple(p[1:] for p in rep.paths if p[0] == 1)
         # step 1+2: weaken the operating equality into d1, rewrite the r-slots
-        ew = weaken_hp(d1, op2, "ante", _SPEC_REP_LC)
+        ew = weaken_hp_many(d1, (op2,), (), _SPEC_REP_LC)
         g_f = replace_at(inp_f, set(paths), r_term, r_prev) if lhs_rel else inp_f
         opi = len(d1.sequent.ante)
         if lhs_rel:
@@ -1354,9 +1334,7 @@ def _single_occurrences(d: Derivation, spec: CalculusSpec) -> Derivation:
     for p in rep.paths[:-1]:
         done.append(p)
         inters.append(replace_at(ctx, set(done), concl_term, prem_term))
-    grown = child
-    for f in inters:
-        grown = weaken_hp(grown, f, "ante", spec)
+    grown = weaken_hp_many(child, inters, (), spec)
     cur_concl = seq
     built_nodes: list[tuple[Sequent, RuleInstance]] = []
     ctx_pos = rep.context_index
@@ -1479,7 +1457,7 @@ def _push_up(
             tau = job.path[len(rho):]
             uk2 = replace_in_term(uk, tau, u)
             e2p = Eq(uk2, e2.rhs) if kidx == 2 else Eq(e2.lhs, uk2)
-            ew = weaken_hp(d00, e2p, "ante", work)
+            ew = weaken_hp_many(d00, (e2p,), (), work)
             opi = len(d00.sequent.ante)
             c2 = Sequent(ew.sequent.ante, replace_formula(ew.sequent.succ, job.j, out))
             kp = node(c2, repl_inst(rule, opi, job.j, [rho]), ew)
@@ -1492,7 +1470,7 @@ def _push_up(
         tau = rho[len(job.path):]
         vp = replace_in_term(v, tau, vk)
         ejp = Eq(vp, e.rhs) if job.idx == 1 else Eq(e.lhs, vp)
-        ew = weaken_hp(d00, ejp, "ante", work)
+        ew = weaken_hp_many(d00, (ejp,), (), work)
         opi = len(d00.sequent.ante)
         c2 = Sequent(ew.sequent.ante, replace_formula(ew.sequent.succ, job.j, out))
         sub = yield ew, _RightJob(job.idx, opi, job.j, job.path), c2, work

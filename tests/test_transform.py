@@ -14,6 +14,7 @@ from eqseq.calculus import (
     PREC_NONE,
     RuleId,
     resolve_preset,
+    resolve_spec,
 )
 from eqseq.checker import check
 from eqseq.parser import parse_derivation, parse_formula, parse_sequent, print_derivation
@@ -109,6 +110,19 @@ def test_project_realizes_right_contraction():
     a, p = tf.project_succedent(d, R12r)
     assert p.sequent == seq("b=a |- a=b")
     assert p.height == d.height == 1
+
+
+def test_project_passes_right_weakening_and_contraction():
+    spec = resolve_spec("base=none rules=refax,rw,rc,rep2r")
+    d = parse_derivation(
+        '(rc [1] "b=a |- P(b), a=b"\n'
+        '  (rw [0] "b=a |- P(b), a=b, a=b"\n'
+        '    (rep2r [0;1;1] "b=a |- a=b, a=b"\n'
+        '      (refax [1] "b=a |- a=b, a=a"))))'
+    )
+    a, p = tf.project_succedent(d, spec)
+    assert print_derivation(p) == '(rep2r [0;0;1] "b = a |- a = b"\n  (refax [0] "b = a |- a = a"))\n'
+    assert a == p.sequent.succ[0] and check(p, spec).valid
 
 
 def test_project_rejects_logical_bases_and_cut():
@@ -252,6 +266,57 @@ def test_cut_eliminate_random_corpus():
         assert check(out, R12r).valid
         assert out.sequent == d.sequent
         assert not ({RuleId.CUT, RuleId.LC, RuleId.LCEQ} & out.rules_used())
+
+
+# grown with funcs f and g, these reach the congruence elimination's cases for
+# a first premiss ending in a contraction (seeds 5 and 323) and for one
+# ending in a replacement of the congruence's equality on its right-hand side,
+# which is rewritten back after the inductive step (seed 5)
+_CNG_CASES = {
+    5: (
+        '(rep2r [0;1;0.0.0] "b = a, f(a) = a, P(a), P(f(b)) |- g(c) = g(c), P(f(f(b)))"\n'
+        '  (rep2r [1;1;0.0] "b = a, f(a) = a, P(a), P(f(b)) |- g(c) = g(c), P(f(f(a)))"\n'
+        '    (rep1r [0;1;0.0] "b = a, f(a) = a, P(a), P(f(b)) |- g(c) = g(c), P(f(a))"\n'
+        '      (init [3;1] "b = a, f(a) = a, P(a), P(f(b)) |- g(c) = g(c), P(f(b))"))))\n'
+    ),
+    323: (
+        '(rep2r [3;0;0] "g(g(b)) = g(b), P(b), P(a), c = f(f(b)), b = c, c = a, b = g(f(a)) |- c = g(f(a))"\n'
+        '  (rep1r [3;0;0] "g(g(b)) = g(b), P(b), P(a), c = f(f(b)), b = c, c = a, b = g(f(a)) |- f(f(b)) = g(f(a))"\n'
+        '    (rep1r [4;0;0] "g(g(b)) = g(b), P(b), P(a), c = f(f(b)), b = c, c = a, b = g(f(a)) |- c = g(f(a))"\n'
+        '      (init [6;0] "g(g(b)) = g(b), P(b), P(a), c = f(f(b)), b = c, c = a, b = g(f(a)) |- b = g(f(a))"))))\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_CNG_CASES))
+def test_cut_eliminate_congruence_cases_pinned(seed):
+    rng = random.Random(seed)
+    spec = R12r.with_rules(RuleId.CUT, RuleId.LC, RuleId.LCEQ)
+    d = grow(rng, spec, depth=rng.randint(4, 14), funcs=("f", "g"), allow_cut=True)
+    out = tf.cut_eliminate_pipeline(d)
+    assert print_derivation(out) == _CNG_CASES[seed]
+    assert out.sequent == d.sequent and check(out, R12r).valid
+
+
+def test_cut_eliminate_rejects_output_the_kernel_rejects(monkeypatch):
+    # the pipeline's last check: same endsequent, but no R12r derivation
+    monkeypatch.setattr(tf, "_prune_lc", lambda d: parse_derivation(f'(refax [0] "{d.sequent}")'))
+    with pytest.raises(tf.TransformError, match="fails to check in R12r"):
+        tf.cut_eliminate_pipeline(valid_spine(3))
+
+
+def test_cut_eliminate_renormalizes_once_per_pass(monkeypatch):
+    # premiss order is set where a pass starts, never again per node, so a
+    # taller input takes no more calls
+    calls = []
+    renormalize = tf.renormalize
+    monkeypatch.setattr(tf, "renormalize", lambda d, spec: calls.append(spec) or renormalize(d, spec))
+    counts = []
+    for n in (10, 60):
+        calls.clear()
+        tf.cut_eliminate_pipeline(valid_spine(n))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 # -- right-hand-side normalization
