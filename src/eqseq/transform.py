@@ -150,8 +150,13 @@ def _spine(d: Derivation) -> list[Derivation]:
 # checker compares multisets).  The transformations below manipulate instance
 # indices, so premiss order is set where a pass starts: each public entry
 # renormalizes its input, after which every child's sequent tuple is exactly
-# the premiss tuple computed by premisses_of.  A pass builds its nodes in that
-# order and does not renormalize them again.
+# the premiss tuple computed by premisses_of.  Steps inside a pass do not
+# renormalize again, and the nodes they build need not keep that order
+# (_reorder_root reorders a root, not its children).  So a step that reads a
+# child's formulas at its parent's indices (_cng_step's replacement cases)
+# first puts that one child in premiss order with _reorder_root; the other
+# steps read only each node's own indices, or compare sequents, whose
+# equality is multiset equality.
 
 def _remap_instance(inst: RuleInstance, amap: dict[int, int], smap: dict[int, int]) -> RuleInstance:
     maps = {"a": amap, "s": smap}
@@ -282,7 +287,8 @@ def _thread(
 
 def weaken_hp_many(d: Derivation, ante, succ, spec: CalculusSpec) -> Derivation:
     """:func:`weaken_hp` of each formula of ``ante`` and then of ``succ``,
-    for a derivation already in premiss order (as a pass builds them)."""
+    without renormalizing: threading reads only each node's own indices, so
+    ``d``'s nodes may list their premisses in any order."""
     for side, fs in (("ante", ante), ("succ", succ)):
         for f in fs:
             d = _run(_thread, _refresh_eigens(d, formula_params(f)), f, side, spec)
@@ -902,8 +908,9 @@ def _remove_n(fs: tuple[Formula, ...], f: Formula, n: int) -> tuple[Formula, ...
 
 def _gencut(dl: Derivation, dr: Derivation, a: Formula, n: int) -> Generator[tuple, Derivation, Derivation]:
     """The generalized cut  Γ|-Δ,A  +  Aⁿ,Λ|-Θ  =>  Γ,Λ|-Δ,Θ  eliminated by
-    induction on the right derivation, inside {RefAx, LC, CNG}; ``dr`` is a
-    subtree of a derivation in premiss order there."""
+    induction on the right derivation, inside {RefAx, LC, CNG}.  Each step
+    reads only its own node's indices, so the nodes of ``dl`` and ``dr`` may
+    list their premisses in any order."""
     if n == 0:
         return dr
     gamma = dl.sequent.ante
@@ -1027,8 +1034,8 @@ def _cng_step(
     paths: tuple[Path, ...],
 ) -> Generator[tuple, Derivation, Derivation]:
     """Eliminate one congruence inference by induction on the height of its
-    first premiss (a derivation of  Γ' |- Δ, r=s  in {RefAx, Rep, LC}, in
-    premiss order there).
+    first premiss (a derivation of  Γ' |- Δ, r=s  in {RefAx, Rep, LC}, whose
+    nodes may list their premisses in any order).
 
     Returns a derivation of  Γ', Λ |- Δ, Θ'  where Θ' is d1's succedent with
     the rewritten formula replaced by ``out_f``."""
@@ -1079,7 +1086,8 @@ def _cng_step(
 
     if inst.rule in (RuleId.REP1R, RuleId.REP2R):
         rep = inst.replacement
-        child = d0.children[0]
+        # both cases read the child's succedent at d0's indices
+        child = _reorder_root(d0.children[0], premisses_of(d0.sequent, inst, _SPEC_REP_LC)[0])
         if rep.context_index != j_e:
             # principal inside Δ: commute below the congruence
             sub = yield child, d1, r_term, s_term, out_f, paths

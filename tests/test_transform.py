@@ -16,10 +16,10 @@ from eqseq.calculus import (
     resolve_preset,
     resolve_spec,
 )
-from eqseq.checker import check
+from eqseq.checker import Derivation, check
 from eqseq.parser import parse_derivation, parse_formula, parse_sequent, print_derivation
 from eqseq.search import Proved, SearchLimits, prove
-from eqseq.syntax import Eq, EqSeqError
+from eqseq.syntax import Eq, EqSeqError, Param, Sequent
 import eqseq.transform as tf
 
 R12r = PRESETS["R12r"]
@@ -296,6 +296,71 @@ def test_cut_eliminate_congruence_cases_pinned(seed):
     out = tf.cut_eliminate_pipeline(d)
     assert print_derivation(out) == _CNG_CASES[seed]
     assert out.sequent == d.sequent and check(out, R12r).valid
+
+
+def _child_reversed(d):
+    """``d`` over its one child with both sides listed in reverse, as a pass
+    leaves a node whose parent it reordered with ``_reorder_root``."""
+    (c,) = d.children
+    flipped = tf._reorder_root(c, Sequent(c.sequent.ante[::-1], c.sequent.succ[::-1]))
+    return Derivation(d.sequent, d.inst, (flipped,))
+
+
+# a congruence's first premiss ending in a succedent replacement: of a formula
+# of Δ, commuted below the congruence (above an initial sequent on a=b, one on
+# a formula of Δ, and a reflexivity axiom), and of the congruence's own
+# equality a=b; the step reads the replacement's premiss at its indices, so
+# the output is the same whether that premiss lists its formulas in order or
+# reversed
+_CNG_REPLACEMENT_CASES = [
+    (
+        '(rep1r [0;0;0] "c=d, a=b |- Q(d), R(c), a=b"\n  (init [1;2] "c=d, a=b |- Q(c), R(c), a=b"))',
+        '(rep1r [0;0;0] "c = d, a = b, P(a) |- Q(d), R(c), P(b)"\n'
+        '  (rep1r [1;2;0] "c = d, a = b, P(a) |- Q(c), R(c), P(b)"\n'
+        '    (init [0;0] "P(a), c = d, a = b |- P(a), Q(c), R(c)")))\n',
+    ),
+    (
+        '(rep1r [0;0;0] "c=d, Q(c), a=b |- Q(d), R(c), a=b"\n  (init [1;0] "c=d, Q(c), a=b |- Q(c), R(c), a=b"))',
+        '(rep1r [0;0;0] "c = d, Q(c), a = b, P(a) |- Q(d), R(c), P(b)"\n'
+        '  (init [1;0] "c = d, Q(c), a = b, P(a) |- Q(c), R(c), P(b)"))\n',
+    ),
+    (
+        '(rep1r [0;0;1] "c=d, a=b |- c=d, R(c), a=b"\n  (refax [0] "c=d, a=b |- c=c, R(c), a=b"))',
+        '(rep1r [0;0;1] "c = d, a = b, P(a) |- c = d, R(c), P(b)"\n'
+        '  (refax [0] "c = d, a = b, P(a) |- c = c, R(c), P(b)"))\n',
+    ),
+    (
+        '(rep1r [0;1;0] "c=a, c=b |- Q(c), a=b"\n  (init [1;1] "c=a, c=b |- Q(c), c=b"))',
+        '(lceq [0] "c = a, c = b, P(a) |- Q(c), P(b)"\n'
+        '  (rep1r [1;1;0] "c = a, c = b, P(a), c = a |- Q(c), P(b)"\n'
+        '    (rep2r [1;0;0] "P(a), c = a, c = a, c = b |- P(c), Q(c)"\n'
+        '      (init [0;0] "P(a), c = a, c = a, c = b |- P(a), Q(c)"))))\n',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "first, expected",
+    _CNG_REPLACEMENT_CASES,
+    ids=["commute-init-on-eq", "commute-init-in-delta", "commute-refax", "own-equality"],
+)
+def test_cng_step_replacement_cases_pinned(first, expected):
+    d0 = parse_derivation(first)
+    d1 = parse_derivation('(init [0;0] "P(a) |- P(a)")')
+    for d in (d0, _child_reversed(d0)):
+        out = tf._run(tf._cng_step, d, d1, Param("a"), Param("b"), parse_formula("P(b)"), ((0,),))
+        assert print_derivation(out) == expected
+        assert check(out, tf._SPEC_REP_LC).valid
+
+
+def test_project_through_a_child_in_another_order():
+    # the projection compares sequents, which are equal as multisets, so a
+    # child listed otherwise than its premiss projects the same
+    d = parse_derivation('(lc [0] "Q(a), R(a) |- Q(a), S(a)"\n  (init [0;0] "Q(a), Q(a), R(a) |- Q(a), S(a)"))')
+    for x in (d, _child_reversed(d)):
+        a, p = tf._run(tf._proj, x, tf._SPEC_CNG)
+        assert a == parse_formula("Q(a)") and p.sequent == seq("Q(a), R(a) |- Q(a)")
+        assert check(p, tf._SPEC_CNG).valid
 
 
 def test_cut_eliminate_rejects_output_the_kernel_rejects(monkeypatch):

@@ -2,16 +2,15 @@
 
 Prints the in-process seconds of ``cut_eliminate_pipeline`` and of
 ``equivalence_translate`` from ``R12r`` into ``RefRep2L`` on ``valid_spine``
-inputs of 50, 100 and 200 nodes, each the median of a few rounds.  There is
+inputs of 50, 100 and 200 nodes, each the median of three rounds.  There is
 no threshold: the report is for reading, and the exit status is 0.
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/transform_speed.py [--rounds 3] [--sizes 50 100 200]
+    PYTHONPATH=src python tests/transform_speed.py
 """
 from __future__ import annotations
 
-import argparse
 import gc
 import pathlib
 import statistics
@@ -23,17 +22,19 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from corpus import valid_spine  # noqa: E402
 from eqseq.transform import cut_eliminate_pipeline, equivalence_translate  # noqa: E402
 
+ROUNDS = 3
+SIZES = (50, 100, 200)
 TRANSFORMS = {
     "cut_eliminate_pipeline": cut_eliminate_pipeline,
     "equivalence_translate R12r -> RefRep2L": lambda d: equivalence_translate(d, "R12r", "RefRep2L"),
 }
 
 
-def seconds(transform, d, rounds: int) -> float:
-    """Median seconds of ``transform(d)`` over ``rounds`` runs, each started
+def seconds(transform, d) -> float:
+    """Median seconds of ``transform(d)`` over ``ROUNDS`` runs, each started
     with no garbage left by the one before."""
     times = []
-    for _ in range(rounds):
+    for _ in range(ROUNDS):
         gc.collect()
         t0 = time.perf_counter()
         transform(d)
@@ -42,14 +43,10 @@ def seconds(transform, d, rounds: int) -> float:
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--rounds", type=int, default=3)
-    ap.add_argument("--sizes", type=int, nargs="+", default=[50, 100, 200], help="spine sizes in nodes")
-    args = ap.parse_args()
     for name, transform in TRANSFORMS.items():
-        times = [(n, seconds(transform, valid_spine(n), args.rounds)) for n in args.sizes]
+        times = [(n, seconds(transform, valid_spine(n))) for n in SIZES]
         row = ", ".join(f"{n} nodes {s:.2f} s" for n, s in times)
-        print(f"{name}, median of {args.rounds} rounds: {row}")
+        print(f"{name}, median of {ROUNDS} rounds: {row}")
 
 
 if __name__ == "__main__":
