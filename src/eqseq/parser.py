@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .syntax import (
     And,
@@ -380,6 +380,52 @@ def _rename_binders_apart(f: Formula) -> Formula:
     return map_leaves(f, {}, rename)
 
 
+_NAME = r"[A-Za-z_][\w'+]*"  # the lexer's identifier
+_ATOMIC_TOKEN = re.compile(rf"{_NAME}|[^ \t\r\n]")
+
+
+def _read_atomic(text: str, fun_arity: dict, pred_arity: dict, term: bool = False):
+    """The atom or equality over ASCII names that ``text`` holds, or with
+    ``term`` the term, read by one ``findall`` and a loop over a stack; its
+    arities go into the tables once all of it is read.  None for anything
+    else, an arity conflict included: the token parser reads that."""
+    toks = _ATOMIC_TOKEN.findall(text) + [""] if text.isascii() else [""]  # "" is the end
+    funs: dict[str, int] = {}  # the arity of each function in ``text``
+    # ``[None, part, ...]`` of the formula, then each open application ``[name, argument, ...]``
+    frames: list[list] = [[None]]
+    i, t = 0, None
+    while True:
+        if t is None:  # a name is due
+            name, i = toks[i], i + 1
+            if name in ("bot", "forall", "exists") or not (
+                name[:1].islower() or name[:1] == "_" or name[:1].isupper() and i == 1 and not term
+            ):
+                return None
+            if toks[i] == "(":
+                frames.append([name])
+                i += 1
+                continue
+            t = Atom(name, ()) if name[0].isupper() else Param(name)
+        frame = frames[-1]
+        frame.append(t)
+        sep, t, i = toks[i], None, i + 1
+        if len(frames) > 1:  # in an application
+            if sep == ")":
+                frames.pop()
+                t, n = (Atom if frame[0][0].isupper() else FunApp)(frame[0], tuple(frame[1:])), len(frame) - 1
+                if type(t) is FunApp and (funs.setdefault(frame[0], n) != n or fun_arity.get(frame[0], n) != n):
+                    return None
+            elif sep != ",":
+                return None
+        elif sep != "=" or len(frame) != 2 or term or type(frame[1]) is Atom:  # the end is due
+            if sep or len(frame) == 2 and not term and type(frame[1]) is not Atom:
+                return None
+            if type(a := frame[1]) is Atom and pred_arity.setdefault(a.pred, len(a.args)) != len(a.args):
+                return None
+            fun_arity.update(funs)
+            return Eq(frame[1], frame[2]) if len(frame) == 3 else frame[1]
+
+
 def _parse_all(text: str, read):
     """``read`` of a parser over ``text``, which must consume all of it; no
     identifier in ``text`` may take the eigenparameters' prefix ``_``."""
@@ -402,7 +448,27 @@ def parse_formula(text: str) -> Formula:
     return _rename_binders_apart(_parse_all(text, _Parser.formula))
 
 
+def _split_sequent(text: str, read) -> Sequent | None:
+    """The sequent of ``text`` split where its tokens split (at ``|-``, and
+    at ``,`` outside parentheses), each formula the ``read`` of its text,
+    which declines a comment; None where the split or a read fails."""
+    halves = text.split("|-")
+    sides = []
+    for half in halves if len(halves) == 2 else ():
+        pieces, depth = [], 0
+        for chunk in half.split(",") if half.strip(" \t\r\n") else ():  # else an empty side
+            pieces.append(pieces.pop() + "," + chunk if depth else chunk)
+            depth += chunk.count("(") - chunk.count(")")
+        side = tuple([read(piece.strip(" \t\r\n")) for piece in pieces])
+        if not all(side):  # a formula is never false
+            return None
+        sides.append(side)
+    return Sequent(*sides) if sides else None
+
+
 def parse_sequent(text: str) -> Sequent:
+    if "_" not in text and (s := _split_sequent(text, partial(_read_atomic, fun_arity={}, pred_arity={}))) is not None:
+        return s  # atomic formulas with no reserved name, read with this goal's own arity tables
     s = _parse_all(text, _Parser.parse_sequent_body)
     if "forall" not in text and "exists" not in text:
         return s  # no binder to rename
@@ -498,14 +564,21 @@ _NODE_HEAD = re.compile(
     rf'{_SKIP}\({_SKIP}([A-Za-z][\w\'+]*){_SKIP}\[((?:[^\]"#]|"[^"]*")*)\]{_SKIP}"([^"#]*)"((?:{_SKIP}\))*)'
 )
 _INDICES = re.compile(r"[0-9;,. \t\r\n]*")
+_ARG_TEXT = re.compile(rf'[ \t\r\n]*(?:"([^"]*)"|({_NAME}))[ \t\r\n]*')  # a quoted text or a name
+
+
+def _instance(rule: RuleId, principal: list[int], got: dict) -> RuleInstance:
+    """The instance of ``rule`` with these principal indices and other fields."""
+    rep = Replacement(got.get("eq_index"), got["context_index"], got["paths"]) if "paths" in got else None
+    return RuleInstance(rule, tuple(principal), rep, *map(got.get, ("witness", "eigen", "cut_formula", "split")))
 
 
 class _DerivationParser(_Parser):
     """Reads a ``.drv`` file head by head: one match of :data:`_NODE_HEAD`
     per node, whose instance args and sequent formulas are looked up in
-    per-file tables by their text.  A text seen first, a head the match does
-    not cover and every error are read by tokens, which the lexer reads on
-    demand from the same offset."""
+    per-file tables by their text, or else read by splitting it.  What the
+    split declines (a compound formula, a head the match does not cover, every
+    error) is read by tokens, which the lexer reads on demand from the same offset."""
 
     def __init__(self, text: str):
         super().__init__(text, lazy=True)
@@ -531,14 +604,11 @@ class _DerivationParser(_Parser):
             raise ParseError(f"expected an index, found {tok[1]!r}", self._span(tok))
         return int(tok[1])
 
-    def _index_csv(self) -> tuple[int, ...]:
-        return () if self.at(";") or self.at("]") else tuple(self.items(self._int))
+    def _csv(self, read) -> tuple:
+        return () if self.at(";") or self.at("]") else tuple(self.items(read))
 
     def _path(self) -> Path:
         return tuple(self.items(self._int, "."))
-
-    def _paths_csv(self) -> tuple[Path, ...]:
-        return () if self.at(";") or self.at("]") else tuple(self.items(self._path))
 
     def _quoted(self, read):
         """``read`` of a parser over the next quoted string, sharing this one's
@@ -568,9 +638,9 @@ class _DerivationParser(_Parser):
             if field == "principal":
                 principal.append(self._int())
             elif field == "split":
-                a1 = self._index_csv()
+                a1 = self._csv(self._int)
                 self.expect(";")
-                got[field] = (a1, self._index_csv())
+                got[field] = (a1, self._csv(self._int))
             elif field == "cut_formula":
                 got[field] = _rename_binders_apart(self._quoted(_Parser.formula))
             elif field == "quoted_witness":
@@ -580,41 +650,50 @@ class _DerivationParser(_Parser):
             elif field == "eigen":
                 got[field] = self._take("ident", "a name")[1]
             elif field == "paths":
-                got[field] = self._paths_csv()
+                got[field] = self._csv(self._path)
             else:  # eq_index, context_index
                 got[field] = self._int()
         if "paths" in got and not got["paths"]:
             raise ParseError("malformed instance args: empty path list", self._span(rule_tok))
         self.expect("]")
-        replacement = Replacement(got.get("eq_index"), got["context_index"], got["paths"]) if "paths" in got else None
-        return RuleInstance(
-            rule,
-            tuple(principal),
-            replacement,
-            got.get("witness"),
-            got.get("eigen"),
-            got.get("cut_formula"),
-            got.get("split"),
-        )
+        return _instance(rule, principal, got)
 
-    @staticmethod
-    def _index_args(rule: RuleId, body: str) -> RuleInstance | None:
-        """The instance of ``[body]`` when ``rule`` takes only indices and
-        paths and ``body`` holds only them, blanks and ``;,.``, read by
-        splitting it where its tokens split; None otherwise."""
+    def _split_args(self, rule: RuleId, body: str) -> RuleInstance | None:
+        """The instance of ``[body]`` split at ``;`` into the fields of the
+        rule's signature, of which only the last may be a term, a name or a
+        quoted text; None where a part does not read so."""
         sig = RULES[rule]
-        parts = body.split(";")
-        if len(parts) != len(sig.principal) + len(sig.fields) or not _INDICES.fullmatch(body):
+        fields = ("principal",) * len(sig.principal) + sig.fields
+        parts = body.split(";", len(fields) + ("split" in fields) - 1)[::-1]
+        last = fields[-1] if fields[-1] in ("witness", "eigen", "quoted_witness", "cut_formula") else None
+        text = parts.pop(0) if last else None
+        if len(parts) + bool(last) != len(fields) + ("split" in fields) or not all(map(_INDICES.fullmatch, parts)):
             return None
+        got: dict = {}
         try:
-            if not sig.fields:
-                return RuleInstance(rule, tuple(map(int, parts)))
-            if sig.fields == ("eq_index", "context_index", "paths"):
-                paths = tuple(tuple(map(int, path.split("."))) for path in parts[2].split(","))
-                return RuleInstance(rule, (), Replacement(int(parts[0]), int(parts[1]), paths))
-        except ValueError:  # a part that is not one index
-            pass
-        return None
+            principal = [int(parts.pop()) for _ in sig.principal]
+            for field in sig.fields:
+                if field == "split":
+                    halves = parts.pop(), parts.pop()
+                    got[field] = tuple(tuple(map(int, h.split(","))) if h.strip(" \t\r\n") else () for h in halves)
+                elif field == "paths":
+                    got[field] = tuple(tuple(map(int, path.split("."))) for path in parts.pop().split(","))
+                elif field in ("eq_index", "context_index"):
+                    got[field] = int(parts.pop())
+        except ValueError:  # a part that is no index
+            return None
+        m = last and _ARG_TEXT.fullmatch(text)
+        value = text if last == "witness" else m and m[2 if last == "eigen" else 1]
+        if last == "cut_formula":  # through the table; a formula read by tokens may have binders to rename
+            value = value and self._formula(value)
+            value = value if not value or type(value) in (Atom, Eq) else _rename_binders_apart(value)
+        elif last in ("witness", "quoted_witness"):
+            last, value = "witness", value and _read_atomic(value, self.fun_arity, self.pred_arity, True)
+        if last:
+            if not value:
+                return None
+            got[last] = value
+        return _instance(rule, principal, got)
 
     def node(self) -> Derivation:
         # the open nodes, innermost last, each with the children read so far:
@@ -638,15 +717,11 @@ class _DerivationParser(_Parser):
         m = _NODE_HEAD.match(self.text, start)
         if m and m[1] in RULE_BY_NAME:
             key = m.group(1, 2)
-            inst = self.instances.get(key) or self._index_args(RULE_BY_NAME[m[1]], m[2])
-            if inst is None:  # read by tokens from the ``[`` on
-                self.lexer.pos = m.start(2) - 1
-                del self.tokens[i:]
-                inst = self.instance_args(RULE_BY_NAME[m[1]], ("ident", m[1], m.start(1), m.end(1)))
-            self.instances[key] = inst
-            seq = self._sequent(m[3])
+            inst = self.instances.get(key) or self._split_args(RULE_BY_NAME[m[1]], m[2])
+            seq = None if inst is None else _split_sequent(m[3], self._formula)
             closes = m[4].count(")")
             if seq is not None and closes <= depth:
+                self.instances[key] = inst
                 # the last token read stands in for all, for ``_eof_span``
                 end = self.lexer.pos = m.end()
                 self.tokens[i:] = [("punct", ")", end - 1, end) if closes else ("string", m[3], m.start(3) - 1, end)]
@@ -673,33 +748,18 @@ class _DerivationParser(_Parser):
             closes += 1
         return seq, inst, closes
 
-    def _sequent(self, text: str) -> Sequent | None:
-        """The sequent of a string without ``#``, split where its tokens
-        split (at ``|-``, and at ``,`` outside parentheses), each formula
-        looked up in ``formulas`` or read and entered; None where the split
-        or a reading fails."""
-        halves = text.split("|-")
-        sides = []
-        for half in halves if len(halves) == 2 else ():
-            pieces, depth = [], 0
-            for chunk in half.split(","):
-                pieces.append(pieces.pop() + "," + chunk if depth else chunk)
-                depth += chunk.count("(") - chunk.count(")")
-            keys = [piece.strip(" \t\r\n") for piece in pieces]
-            side = []
-            for key in keys if keys != [""] else ():  # else an empty side
-                f = self.formulas.get(key)
-                if f is None:
-                    try:
-                        sub = self._sub(key)
-                        f = sub.formula()
-                        sub.require_done()
-                    except ParseError:
-                        return None
-                    self.formulas[key] = f
-                side.append(f)
-            sides.append(tuple(side))
-        return Sequent(*sides) if sides else None
+    def _formula(self, text: str) -> Formula | None:
+        """The formula of ``text``, looked up in ``formulas`` or read and entered; None where that fails."""
+        f = self.formulas.get(text) or _read_atomic(text, self.fun_arity, self.pred_arity)
+        if f is None:
+            try:
+                sub = self._sub(text)
+                f = sub.formula()
+                sub.require_done()
+            except ParseError:
+                return None
+        self.formulas[text] = f
+        return f
 
 
 def parse_derivation(text: str) -> Derivation:

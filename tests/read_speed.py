@@ -1,18 +1,20 @@
-"""How long reading a ``.drv`` file takes against checking what was read.
+"""How long reading a ``.drv`` file takes against checking what was read,
+and how long reading a goal takes.
 
 Prints, for the golden files and for a seeded corpus of grown derivations,
 the in-process milliseconds of ``parse_derivation`` over every file and of
 ``check`` over every parsed derivation, and their ratio.  Each figure is the
-median of interleaved rounds (parse all, then check all).  There is no
+median of interleaved rounds (parse all, then check all).  A last line gives
+the median microseconds of ``parse_sequent`` on the equality chain goals of 2
+to 30 links that the benchmark's ``rewrite`` workload decides.  There is no
 threshold: the report is for reading, and the exit status is 0.
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/read_speed.py [--rounds 7] [--seed 1] [--grown 300]
+    PYTHONPATH=src python tests/read_speed.py
 """
 from __future__ import annotations
 
-import argparse
 import pathlib
 import random
 import re
@@ -25,9 +27,12 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 from corpus import grow  # noqa: E402
 from eqseq.calculus import PRESETS, RuleId, resolve_spec  # noqa: E402
 from eqseq.checker import check  # noqa: E402
-from eqseq.parser import parse_derivation, print_derivation  # noqa: E402
+from eqseq.parser import parse_derivation, parse_sequent, print_derivation  # noqa: E402
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+ROUNDS = 7
+SEED = 1
+GROWN = 300  # how many grown derivations
 
 
 def goldens() -> list[tuple[str, object]]:
@@ -59,20 +64,35 @@ def measure(files: list[tuple[str, object]], rounds: int) -> tuple[float, float]
     return statistics.median(parse_ms), statistics.median(check_ms)
 
 
+def chain_goals() -> list[str]:
+    """``q0 = q1, ..., q(n-1) = qn |- q0 = qn`` and the goal carrying
+    ``Q(q0)`` to ``Q(qn)``, for n from 2 to 30."""
+    goals = []
+    for links in range(2, 31):
+        chain = ", ".join(f"q{k} = q{k + 1}" for k in range(links))
+        goals += [f"{chain} |- q0 = q{links}", f"{chain}, Q(q0) |- Q(q{links})"]
+    return goals
+
+
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--rounds", type=int, default=7)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--grown", type=int, default=300, help="how many grown derivations")
-    args = ap.parse_args()
-    corpora = {"golden": goldens(), f"grown (seed {args.seed})": grown(args.seed, args.grown)}
+    corpora = {"golden": goldens(), f"grown (seed {SEED})": grown(SEED, GROWN)}
     for name, files in corpora.items():
-        parse_ms, check_ms = measure(files, args.rounds)
+        parse_ms, check_ms = measure(files, ROUNDS)
         size = sum(len(text.encode("utf-8")) for text, _ in files)
         print(
-            f"{name}: {len(files)} files, {size} bytes, median of {args.rounds} rounds: "
+            f"{name}: {len(files)} files, {size} bytes, median of {ROUNDS} rounds: "
             f"parse {parse_ms:.2f} ms, check {check_ms:.2f} ms, parse/check {parse_ms / check_ms:.2f}"
         )
+    goals, goal_us = chain_goals(), []
+    for _ in range(ROUNDS):
+        t0 = time.perf_counter()
+        for goal in goals:
+            parse_sequent(goal)
+        goal_us.append((time.perf_counter() - t0) / len(goals) * 1e6)
+    print(
+        f"chain goals: {len(goals)} of 2 to 30 links, median of {ROUNDS} rounds: "
+        f"parse_sequent {statistics.median(goal_us):.1f} us a goal"
+    )
 
 
 if __name__ == "__main__":

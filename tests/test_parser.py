@@ -48,6 +48,7 @@ def test_binder_renamed_apart_from_parameters():
     assert isinstance(got.left, Forall)
     assert got.left.var != "a"
     assert got.right == Atom("Q", (Param("a"),))
+    assert parse_sequent("(forall a. P(a)) & Q(a) |-").ante == (got,)  # a goal's binders too
 
 
 def test_renamed_binder_captures_no_variable():
@@ -469,11 +470,11 @@ _sides = st.lists(st.sampled_from(_SEQUENT_FORMULAS), max_size=3)
 def test_formula_table_changes_no_result(sequents):
     from unittest import mock
 
-    from eqseq.parser import _DerivationParser
+    from eqseq import parser
 
     text = _drv_text(sequents)
     # with the split turned off, every sequent is read by tokens, without the table
-    with mock.patch.object(_DerivationParser, "_sequent", lambda self, text: None):
+    with mock.patch.object(parser, "_split_sequent", lambda text, read: None):
         want = _parsed(text)
     assert _parsed(text) == want
 
@@ -534,6 +535,29 @@ def _differential_inputs():
     for args in odd:
         for leaf in ("0;0", " 1 ;0", "0;", "0,1;0", "0_1;0", "1;0 "):
             texts.append(f'(rep2r [{args}] "a = b |- P(a)"\n  (init [{leaf}] "a = b |- P(b)"))\n')
+    # every argument field, quoted texts holding separators, blanks, a comment or a binder
+    for head in (
+        '(refl [f(a)] "|- f(a) = f(a)")',
+        '(refl [ g(a,\n _e1 ) ] "|- g(a, _e1) = g(a, _e1)")',
+        '(lforall [0;f(a)] "forall x. P(x) |- P(f(a))"\n  (init [1;0] "forall x. P(x), P(f(a)) |- P(f(a))"))',
+        '(rexists [0; g(a,b)] "|- exists x. R(x, x)"\n  (refax [0] "|- R(g(a, b), g(a, b))"))',
+        '(rforall [0;_e1] "|- forall x. x = x"\n  (refax [0] "|- _e1 = _e1"))',
+        '(lexists [0; _e2 ] "exists x. P(x) |- P(_e2)"\n  (init [0;0] "P(_e2) |- P(_e2)"))',
+        '(cng [0;;1;0,1.0;"f(a)"] "a = b |- P(a), g(f(a), a) = b"\n  (init [0;0] "a = b |- a = b")\n  (refax [0] "|- P(b)"))',
+        '(cng [;;0;0;" f( a ) "] "|- P(a)"\n  (refax [0] "|- f(a) = f(a)")\n  (refax [0] "|- P(f(a))"))',
+        '(cng [;;0;0;"f(a; b)"] "|- P(a)")',
+        '(cng [;;0;0;f(a)] "|- P(a)")',
+        '(rforall [0;"_e1"] "|- forall x. x = x")',
+        '(lforall [0;"f(a)"] "forall x. P(x) |- Q")',
+        '(cut [0;;"P(a); Q"] "P(a) |- Q")',
+        '(cut [;;"P(a), Q"] "|- Q")',
+        '(cut [;;"P(a]"] "|- Q")',
+        '(cut [;;"P(a) # c"] "|- P(a)"\n  (init [0;0] "P(a) |- P(a)"))',
+        '(cut [ 0 ; ; " forall a. P(a) & P(b) " ] "P(b) |- P(b)")',
+        '(land [0] "P(a) & forall a. Q(a) |- Q"\n  (cut [;;"P(a) & forall a. Q(a)"] "|- Q"))',
+        '(cut [0;;"r = s"] "P(r) |- P(s)"\n  (init [0;0] "P(r) |- r = s")\n  (init [0;0] "r = s, P(r) |- P(s)"))',
+    ):
+        texts += [head + "\n", re.sub(r'"([^"]*)"\]', lambda m: f'"{m[1].replace(" ", "")}"]', head) + "\n"]
     whole = list(texts)
     for k in range(600):
         text = whole[k % len(whole)]
@@ -559,7 +583,8 @@ def test_derivation_reader_matches_token_reference():
 
 def test_derivation_reader_lexes_each_text_once():
     # one lexer for the file, then one per distinct formula text and per
-    # distinct quoted-argument text, each read the first time it appears
+    # distinct quoted-argument text that is not atomic, each read the first
+    # time it appears: a file of atomic formulas builds none but its own
     from unittest import mock
 
     from eqseq import parser
@@ -571,6 +596,7 @@ def test_derivation_reader_lexes_each_text_once():
         made.append(args[0])
         real_init(self, *args, **kw)
 
+    all_atomic = 0
     for path in sorted(GOLDEN.glob("*.drv")):
         text = path.read_text(encoding="utf-8")
         made.clear()
@@ -580,6 +606,125 @@ def test_derivation_reader_lexes_each_text_once():
         while nodes:
             n = nodes.pop()
             nodes += n.children
-            formulas |= {print_formula(f) for f in n.sequent.all_formulas()}
+            formulas |= {*n.sequent.all_formulas(), *([n.inst.cut_formula] if n.inst.cut_formula else [])}
         quoted = set(re.findall(r'"([^"]*)"', "".join(re.findall(r"\[[^\]]*\]", text))))
         assert len(made) <= 1 + len(formulas) + len(quoted), (path.name, made)
+        if all(type(f) in (Atom, Eq) for f in formulas):
+            all_atomic += 1
+            assert made == [text], (path.name, made)
+    assert all_atomic >= 20, all_atomic
+    made.clear()
+    with mock.patch.object(parser._Lexer, "__init__", counting_init):
+        parse_sequent("f(a) = b, P(f(a), c) |- Q, g(b,f(a)) = g(f(a),b)")
+        parse_sequent(" |- ")
+    assert made == []
+    with mock.patch.object(parser._Lexer, "__init__", counting_init):
+        parse_sequent("P(a) & Q |- P(a)")
+    assert len(made) == 1
+
+
+# -- the atomic reader against the token parser
+
+_ATOMIC_PIECES = [
+    "a", "b", "c", "f", "g", "P", "Q", "R", "x'", "a1", "_e1", "bot", "forall", "exists", "(", ")",
+    ",", "=", " ", "  ", "\t", "\r", "\n", "#", "&", "->", ".", "|-", "é", "²", "٣", "Ⅷ", "1", "\xa0", "\x0c",
+]
+_ATOMIC_NEAR_MISSES = [
+    "P(f(f(c))", "P(f(f(c)))", "P(a,)", "P(,a)", "P()", "f()", "f() = a", "a = b = c", "P(a) = b", "P", "P = a",
+    "a = P", "a", "", " ", "bot", "P(bot)", "bot = a", "forall = a", "a = exists", "exists x. P(x)", "_e1 = a",
+    "P(_e1)", "P(é)", "é = a", "a = b²", "P(a)\t", "\rP(a)", "P(a) # c", "# c", "f(a) = f(a, b)", "P(a, f(b)",
+    "P(a))", "(P(a))", "(a = b)", "P(a) & forall a. Q(a)", "P(a, b)", "f(a, b) = a", "g(a) = f(a)",
+]
+
+
+def _atomic_text(rng):
+    """A formula or term of the atomic grammar, blanks set at random."""
+    def term(depth):
+        if depth and rng.random() < 0.5:
+            args = ", ".join(term(depth - 1) for _ in range(rng.randint(1, 3)))
+            return f"{rng.choice(['f', 'g', 'h1'])}({args})"
+        return rng.choice(["a", "b", "c", "x'", "a1", "_e1"])
+
+    if rng.random() < 0.4:
+        args = ", ".join(term(3) for _ in range(rng.randint(0, 2)))
+        text = f"{rng.choice(['P', 'Q', 'R'])}({args})" if args else rng.choice(["P", "Q", "R"])
+    else:
+        text = f"{term(3)} = {term(3)}" if rng.random() < 0.8 else term(4)
+    return re.sub(r"[ ,()]", lambda m: rng.choice(["", " ", "\t", "\r\n"]) + m[0] + rng.choice(["", " "]), text)
+
+
+def _token_read(text, fun_arity, pred_arity, term):
+    from eqseq.parser import _Parser
+
+    try:
+        p = _Parser(text)
+        p.fun_arity, p.pred_arity = fun_arity, pred_arity
+        out = p.term(frozenset()) if term else p.formula()
+        p.require_done()
+    except ParseError as exc:
+        return type(exc), exc.message, exc.span
+    return out
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except ParseError as exc:
+        return type(exc), exc.message, exc.span
+
+
+def test_atomic_reader_matches_token_parser():
+    import random
+    from unittest import mock
+
+    from drv_reference import reference_derivation
+    from eqseq import parser
+
+    rng = random.Random(31)
+    texts = list(_ATOMIC_NEAR_MISSES)
+    for k in range(1500):
+        if k % 3 == 0:
+            texts.append(_atomic_text(rng))
+        elif k % 3 == 1:
+            texts.append("".join(rng.choice(_ATOMIC_PIECES) for _ in range(rng.randint(1, 8))))
+        else:  # a formula of the grammar with one piece put in
+            text = _atomic_text(rng)
+            k = rng.randrange(len(text) + 1)
+            texts.append(text[:k] + rng.choice(_ATOMIC_PIECES) + text[k:])
+    read = declined = 0
+    for text in texts:
+        for term in (False, True):
+            # the arities an earlier formula of the same file set
+            tables, want_tables = ({"f": 1}, {"P": 1}), ({"f": 1}, {"P": 1})
+            got = parser._read_atomic(text, *tables, term)
+            want = _token_read(text, *want_tables, term)
+            if got is None:
+                declined += 1
+                assert tables == ({"f": 1}, {"P": 1}), (text, term)
+            else:
+                read += 1
+                assert (got, tables) == (want, want_tables), (text, term)
+                if not term and "_" not in text:  # and as a formula given by the user
+                    assert parse_formula(text) is got, text
+        # the goal reader against itself with the atomic reader declining all
+        for goal in (f"{text} |- {text}", f"Q, {text} |-", f"|- {text}, {text}"):
+            with mock.patch.object(parser, "_read_atomic", lambda *args, **kw: None):
+                want = _outcome(parse_sequent, goal)
+            assert _outcome(parse_sequent, goal) == want, goal
+        # inside a .drv sequent string and as a quoted cut formula, against the token-level reference
+        if '"' not in text:
+            for drv in (
+                f'(land [0] "{text} |- {text}"\n  (init [0;0] "Q, {text} |- {text}"))',
+                f'(cut [0;;"{text}"] "P(a) |- {text}")',
+                f'(land [0] "{text} |- Q"\n  (cut [;;"{text}"] "|- {text}"))',
+            ):
+                assert _read(parse_derivation, drv) == _read(reference_derivation, drv), drv
+    # both outcomes are exercised
+    assert read > 300 and declined > 800, (read, declined)
+    # the atomic grammar is read by the atomic reader, not declined to the token parser
+    for _ in range(500):
+        text = _atomic_text(rng)
+        for term in (False, True):
+            want = _token_read(text, {}, {}, term)
+            if not isinstance(want, tuple):
+                assert parser._read_atomic(text, {}, {}, term) is want, (text, term)
